@@ -123,6 +123,12 @@ RtCluster::StormResult RtCluster::run_storm(const StormPlan& plan,
   }
   res.stats.merge(storage_stats_);
   net_.export_stats(res.stats);
+  const Histogram late = env_.dispatch_lateness();
+  res.stats.set("rt.timer.fired", static_cast<std::int64_t>(late.count()));
+  res.stats.set("rt.timer.late_p50_ns",
+                static_cast<std::int64_t>(late.quantile(0.5)));
+  res.stats.set("rt.timer.late_p99_ns",
+                static_cast<std::int64_t>(late.quantile(0.99)));
   res.ops_per_second =
       wall > 0.0 ? static_cast<double>(res.committed) / wall : 0.0;
   return res;

@@ -51,7 +51,10 @@ class RtCluster {
     std::uint64_t committed = 0;
     std::uint64_t aborted = 0;
     Histogram latency;    // client-visible commit latency, merged
-    StatsRegistry stats;  // all nodes + transport, merged
+    // All nodes + transport, merged, plus the workers' dispatch lateness
+    // (RtEnv::dispatch_lateness): rt.timer.fired, rt.timer.late_p50_ns,
+    // rt.timer.late_p99_ns.
+    StatsRegistry stats;
     double wall_seconds = 0.0;
     double ops_per_second = 0.0;
   };

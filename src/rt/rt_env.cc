@@ -1,5 +1,7 @@
 #include "rt/rt_env.h"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
 #include <utility>
 
@@ -123,6 +125,12 @@ Rng& RtEnv::rng() {
 
 void RtEnv::worker_loop(std::uint32_t index) {
   tl_worker = index;
+  // Linux lets a normal thread's timed waits overshoot by its timer slack,
+  // 50 us by default.  Modeled delays (a 1 us compute step, a few-us log
+  // force) are waits on this thread, often with a directory lock held, so
+  // the default would stretch each of them to ~55 us.  1 ns is the least
+  // the kernel accepts (0 means "reset to the default").
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   Worker& w = *workers_[index];
   std::unique_lock<std::mutex> lk(w.mu);
   while (true) {
@@ -140,7 +148,8 @@ void RtEnv::worker_loop(std::uint32_t index) {
       continue;
     }
     const auto deadline = start_ + std::chrono::nanoseconds(e.when_ns);
-    if (std::chrono::steady_clock::now() < deadline) {
+    const auto now = std::chrono::steady_clock::now();
+    if (now < deadline) {
       w.cv.wait_until(lk, deadline);
       continue;  // re-examine: an earlier timer may have arrived meanwhile
     }
@@ -154,6 +163,9 @@ void RtEnv::worker_loop(std::uint32_t index) {
     s.next_free = w.free_head;
     w.free_head = e.slot;
     lk.unlock();
+    w.lateness.record(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - deadline)
+            .count()));
     cb();  // run-to-completion; may schedule on any worker
     // Decrement only after the callback finished so wait_idle()'s zero
     // reading implies "nothing running" — anything the callback scheduled
@@ -161,6 +173,12 @@ void RtEnv::worker_loop(std::uint32_t index) {
     pending_.fetch_sub(1, std::memory_order_seq_cst);
     lk.lock();
   }
+}
+
+Histogram RtEnv::dispatch_lateness() const {
+  Histogram merged;
+  for (const auto& w : workers_) merged.merge(w->lateness);
+  return merged;
 }
 
 void RtEnv::wait_idle() {

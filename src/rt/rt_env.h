@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "env/env.h"
+#include "stats/histogram.h"
 
 namespace opc {
 
@@ -78,6 +79,12 @@ class RtEnv final : public Env {
   /// Stops and joins all workers (idempotent; the destructor calls it).
   void stop();
 
+  /// How late each worker ran its callbacks, in ns past their deadline
+  /// (`post`s included, cancelled timers excluded), merged over workers.
+  /// Each worker records into its own histogram, so read this only once
+  /// the env is quiescent (after wait_idle() or stop()).
+  [[nodiscard]] Histogram dispatch_lateness() const;
+
  private:
   // A worker-slot address packs into TimerHandle::slot(): worker index in
   // the high byte, slot index in the low 24 bits.
@@ -113,6 +120,7 @@ class RtEnv final : public Env {
     std::uint64_t next_seq = 0;
     bool stopping = false;
     Rng rng;
+    Histogram lateness;  // ns past `when_ns`; touched only by the worker
     std::thread thread;
 
     Worker(std::uint64_t seed, std::uint64_t stream) : rng(seed, stream) {}

@@ -98,4 +98,14 @@ TEST(CliSmoke, DurationSpellingsParse) {
   EXPECT_NE(r.output.find("1PC"), std::string::npos) << r.output;
 }
 
+TEST(CliSmoke, RtstormPrintsTimerLateness) {
+  // The worker wake-up accuracy (RtEnv dispatch lateness) sits next to
+  // ops/s in the summary; its value is host-dependent, so only the columns
+  // are checked.
+  const RunResult r = run("rtstorm --smoke --protocol 1pc");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("timer_late_p50_ns"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("timer_late_p99_ns"), std::string::npos) << r.output;
+}
+
 }  // namespace

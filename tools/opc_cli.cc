@@ -546,7 +546,8 @@ int cmd_rtstorm(const Args& a) {
   }
 
   int rc = 0;
-  TextTable table({"protocol", "ops_per_second", "committed", "aborted",
+  TextTable table({"protocol", "ops_per_second", "timer_late_p50_ns",
+                   "timer_late_p99_ns", "committed", "aborted",
                    "p50_latency_ms", "p99_latency_ms", "wall_seconds",
                    "invariant_violations"});
   for (ProtocolKind p : cf.protocols) {
@@ -561,6 +562,8 @@ int cmd_rtstorm(const Args& a) {
 
     table.add_row(
         {std::string(protocol_name(p)), TextTable::num(res.ops_per_second, 3),
+         std::to_string(res.stats.get("rt.timer.late_p50_ns")),
+         std::to_string(res.stats.get("rt.timer.late_p99_ns")),
          std::to_string(res.committed), std::to_string(res.aborted),
          TextTable::num(res.latency.quantile_duration(0.5).to_millis_f(), 2),
          TextTable::num(res.latency.quantile_duration(0.99).to_millis_f(), 2),
