@@ -1,7 +1,11 @@
 // Schedule exploration: generation determinism, report reproducibility,
-// systematic crash-point enumeration, and the four-protocol smoke — 50
-// random schedules per paper protocol (200 total) with every checker green.
+// systematic crash-point enumeration, and the protocol smoke — 50 random
+// schedules per protocol (PrA included) at two and at three participants,
+// every checker green and each exploration's combined hash pinned.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
 
 #include "chaos/explorer.h"
 
@@ -64,10 +68,35 @@ TEST(Exploration, SystematicModeEnumeratesCrashPoints) {
   EXPECT_EQ(r.failed, 0u);
 }
 
-class ProtocolSmoke : public ::testing::TestWithParam<ProtocolKind> {};
+// combined_hash of smoke_cfg(proto, 50, 7) at each width.  The smoke's
+// schedules crash, partition and reboot nodes, so these pin the recovery,
+// fencing and decision-retry paths byte for byte, not only the failure-free
+// storm that TraceGoldenTest covers.  A failure prints the new value; only
+// an intentional protocol change may move one, and the PR must say so.
+struct SmokePin {
+  ProtocolKind proto;
+  std::uint32_t participants;
+  std::uint64_t combined_hash;
+};
 
-TEST_P(ProtocolSmoke, FiftyRandomSchedulesAllCheckersGreen) {
-  const ExplorationReport r = explore(smoke_cfg(GetParam(), 50, 7));
+constexpr SmokePin kSmokePins[] = {
+    {ProtocolKind::kPrN, 2, 0x2b445652d9c96e5bull},
+    {ProtocolKind::kPrC, 2, 0x7ce2022c849be4d2ull},
+    {ProtocolKind::kEP, 2, 0xf3810b8be399c0f1ull},
+    {ProtocolKind::kOnePC, 2, 0x081a2a6bca0a6475ull},
+    {ProtocolKind::kPrA, 2, 0x2309c0090fe1de92ull},
+    {ProtocolKind::kPrN, 3, 0x1cb5b931d970fd8eull},
+    {ProtocolKind::kPrC, 3, 0x0be601f1a429cff4ull},
+    {ProtocolKind::kEP, 3, 0x0005d1095d9bae65ull},
+    {ProtocolKind::kOnePC, 3, 0xccd286c4bd0c8a8cull},
+    {ProtocolKind::kPrA, 3, 0x1976693b8c118bdaull},
+};
+
+void expect_smoke_green_and_pinned(ProtocolKind proto,
+                                   std::uint32_t participants) {
+  ExplorerConfig cfg = smoke_cfg(proto, 50, 7);
+  cfg.base.participants = participants;
+  const ExplorationReport r = explore(cfg);
   EXPECT_EQ(r.passed, 50u);
   if (r.failed != 0) {
     const ScheduleOutcome* f = r.first_failure();
@@ -80,13 +109,37 @@ TEST_P(ProtocolSmoke, FiftyRandomSchedulesAllCheckersGreen) {
                   << ") failed:\n"
                   << detail << render_schedule(f->schedule);
   }
+  const auto pin =
+      std::find_if(std::begin(kSmokePins), std::end(kSmokePins),
+                   [&](const SmokePin& p) {
+                     return p.proto == proto && p.participants == participants;
+                   });
+  ASSERT_NE(pin, std::end(kSmokePins));
+  EXPECT_EQ(r.combined_hash, pin->combined_hash)
+      << protocol_name(proto) << " at " << participants
+      << " participants: combined hash moved (got 0x" << std::hex
+      << r.combined_hash << ")";
+}
+
+class ProtocolSmoke : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(ProtocolSmoke, FiftyRandomSchedulesAllCheckersGreen) {
+  expect_smoke_green_and_pinned(GetParam(), 2);
+}
+
+// Three participants: 1PC degrades to PrA, every protocol runs N-way votes.
+TEST_P(ProtocolSmoke, FiftyWideSchedulesAllCheckersGreen) {
+  expect_smoke_green_and_pinned(GetParam(), 3);
+}
+
+std::string smoke_name(const ::testing::TestParamInfo<ProtocolKind>& i) {
+  return std::string(protocol_name(i.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPaperProtocols, ProtocolSmoke,
-                         ::testing::ValuesIn(kAllProtocols),
-                         [](const ::testing::TestParamInfo<ProtocolKind>& i) {
-                           return std::string(protocol_name(i.param));
-                         });
+                         ::testing::ValuesIn(kAllProtocols), smoke_name);
+INSTANTIATE_TEST_SUITE_P(Extensions, ProtocolSmoke,
+                         ::testing::Values(ProtocolKind::kPrA), smoke_name);
 
 }  // namespace
 }  // namespace opc
