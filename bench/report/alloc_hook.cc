@@ -74,11 +74,22 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
+// Every aligned form must be replaced too: one left to the runtime (or to a
+// sanitizer's interposer) frees posix_memalign memory through a different
+// allocator.  The sized forms take (size, alignment), in that order.
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t, std::size_t) noexcept {
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, std::align_val_t, std::size_t) noexcept {
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }

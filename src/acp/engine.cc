@@ -157,6 +157,20 @@ LogRecord AcpEngine::update_record(TxnId txn,
   return rec;
 }
 
+TxnOutcome AcpEngine::presumed_outcome(ProtocolKind proto) {
+  // Only a nudged UPDATED or a DECISION_REQ reaches a presumption, and a 1PC
+  // worker sends neither: it commits on update, never waits in kUpdated and
+  // never writes the PREPARED record a reboot would chase a decision for.
+  SIM_CHECK_MSG(!traits(proto).commit_on_update,
+                "1PC worker asked for a presumed outcome");
+  return traits(proto).presume_commit ? TxnOutcome::kCommitted
+                                      : TxnOutcome::kAborted;
+}
+
+MsgType AcpEngine::commit_notice(ProtocolKind proto) {
+  return traits(proto).commit_on_update ? MsgType::kAck : MsgType::kCommit;
+}
+
 void AcpEngine::send(NodeId to, Msg m, bool extra, bool critical) {
   m.from = self_;
   c_msg_total_.add();
@@ -250,7 +264,6 @@ void AcpEngine::acquire_next_lock(TxnId id) {
     } else if (ct->recovered) {
       // STARTED (and the 1PC redo record) is already durable from the
       // pre-crash run; go straight to re-execution.
-      ct->started_durable = true;
       run_local_updates(id);
     } else {
       force_started(id);
@@ -358,7 +371,7 @@ void AcpEngine::force_started(TxnId id) {
   LogRecord started = state_record(RecordType::kStarted, id);
   encode_txn(ct->txn, started.payload);
   recs.push_back(std::move(started));
-  if (ct->proto == ProtocolKind::kOnePC) {
+  if (traits(ct->proto).commit_on_update) {
     // Paper §III-B: the 1PC coordinator also logs a redo record for the
     // namespace operation so it can re-execute after a crash.
     LogRecord redo;
@@ -372,10 +385,7 @@ void AcpEngine::force_started(TxnId id) {
   const std::uint64_t epoch = crash_epoch_;
   phase_mark(id, obs::PhaseId::kStartForce, true);
   wal_.force(std::move(recs), WriteTag{"started", true}, [this, id, epoch] {
-    if (epoch != crash_epoch_) return;
-    CoordTxn* c = coord_of(id);
-    if (c == nullptr) return;
-    c->started_durable = true;
+    if (epoch != crash_epoch_ || coord_of(id) == nullptr) return;
     phase_mark(id, obs::PhaseId::kStartForce, false);
     run_local_updates(id);
   });
@@ -389,9 +399,7 @@ void AcpEngine::run_local_updates(TxnId id) {
   // A re-driven 1PC transaction must not take the unilateral abort path:
   // the worker may already have committed.  Its local updates are not
   // cached — they replay from the redo record at commit time instead.
-  const bool replay_later =
-      ct->recovered && ct->proto == ProtocolKind::kOnePC;
-  if (!replay_later) {
+  if (!ct->recovered || !traits(ct->proto).commit_on_update) {
     for (const Operation& op : ct->txn.participants.front().ops) {
       const StoreStatus st = store_.apply(id, op);
       if (st != StoreStatus::kOk) {
@@ -416,15 +424,15 @@ void AcpEngine::run_local_updates(TxnId id) {
 void AcpEngine::send_update_reqs(TxnId id) {
   CoordTxn* ct = coord_of(id);
   if (ct == nullptr || ct->aborting) return;
-  SIM_CHECK(ct->proto != ProtocolKind::kOnePC ||
-            ct->txn.n_participants() == 2);
+  const ProtocolTraits& t = traits(ct->proto);
+  SIM_CHECK(!t.commit_on_update || ct->txn.n_participants() == 2);
   // Fast-fail against suspected-dead workers: nothing has been sent, so no
   // participant holds any state — a unilateral abort is always safe and
   // avoids burning a full response timeout (or a STONITH round) per
   // transaction while the worker is down.
   for (std::size_t i = 1; i < ct->txn.participants.size(); ++i) {
     if (!suspected_.contains(ct->txn.participants[i].node)) continue;
-    if (ct->recovered && ct->proto == ProtocolKind::kOnePC) {
+    if (ct->recovered && t.commit_on_update) {
       // The pre-crash run may have reached the worker; only its log can
       // decide the outcome.
       start_fencing_recovery(id);
@@ -443,11 +451,9 @@ void AcpEngine::send_update_reqs(TxnId id) {
     m.txn = id;
     m.proto = ct->proto;
     m.ops = p.ops;
-    m.piggyback_prepare = ct->proto == ProtocolKind::kEP;
-    m.piggyback_commit = ct->proto == ProtocolKind::kOnePC;
     send(p.node, std::move(m), /*extra=*/false, /*critical=*/false);
   }
-  if (ct->proto == ProtocolKind::kEP) {
+  if (t.prepare_on_update) {
     // Early Prepare: the coordinator prepares in parallel with the workers'
     // combined update+prepare round.
     std::vector<LogRecord> recs = wal_.checkout_recs();
@@ -488,7 +494,7 @@ void AcpEngine::on_response_timeout(TxnId id) {
   stats_.add("acp.response_timeouts");
   switch (ct->phase) {
     case CoordPhase::kUpdating:
-      if (ct->proto == ProtocolKind::kOnePC) {
+      if (traits(ct->proto).commit_on_update) {
         start_fencing_recovery(id);
       } else {
         stats_.add("acp.abort.update_timeout");
@@ -534,12 +540,7 @@ void AcpEngine::on_updated(TxnId id, const Msg& m) {
     // with a redundant message.
     if (!m.nudge) return;
     const TxnOutcome* fin = finished_.find(id);
-    const TxnOutcome out =
-        fin != nullptr
-            ? *fin
-            : ((m.proto == ProtocolKind::kPrC || m.proto == ProtocolKind::kEP)
-                   ? TxnOutcome::kCommitted
-                   : TxnOutcome::kAborted);
+    const TxnOutcome out = fin != nullptr ? *fin : presumed_outcome(m.proto);
     Msg r;
     r.type = out == TxnOutcome::kCommitted ? MsgType::kCommit
                                            : MsgType::kAbort;
@@ -558,43 +559,39 @@ void AcpEngine::on_updated(TxnId id, const Msg& m) {
   ct->response_timer = TimerHandle{};
   phase_mark(id, obs::PhaseId::kUpdateRound, false);
 
-  switch (ct->proto) {
-    case ProtocolKind::kPrN:
-    case ProtocolKind::kPrA:
-    case ProtocolKind::kPrC:
-      enter_voting(id);
-      break;
-    case ProtocolKind::kEP:
-      maybe_commit(id);
-      break;
-    case ProtocolKind::kOnePC: {
-      SIM_CHECK_MSG(m.committed, "1PC UPDATED must carry the worker commit");
-      // Paper §III-B/D: the worker has committed, so this transaction can
-      // no longer abort.  Reply to the client and release the locks NOW;
-      // the coordinator's own commit proceeds off the critical path.
-      ct->mem_committed = true;
-      if (ct->recovered) {
-        store_.replay_committed(id, ct->txn.participants.front().ops);
-      } else {
-        store_.commit_mem(id);
-      }
-      locks_.release_all(id);
-      if (history_ != nullptr) history_->record_commit(id);
-      reply_client(*ct, TxnOutcome::kCommitted);
-      ct->phase = CoordPhase::kForcingCommit;
-      phase_mark(id, obs::PhaseId::kCommitForce, true);
-      std::vector<LogRecord> recs = wal_.checkout_recs();
-      recs.push_back(update_record(id, ct->txn.participants.front().ops));
-      recs.push_back(state_record(RecordType::kCommitted, id));
-      const std::uint64_t epoch = crash_epoch_;
-      wal_.force(std::move(recs), WriteTag{"commit", /*critical=*/false},
-                 [this, id, epoch] {
-                   if (epoch != crash_epoch_) return;
-                   on_commit_durable(id);
-                 });
-      break;
-    }
+  const ProtocolTraits& t = traits(ct->proto);
+  if (t.vote_round()) {
+    enter_voting(id);
+    return;
   }
+  if (t.prepare_on_update) {
+    maybe_commit(id);
+    return;
+  }
+  SIM_CHECK_MSG(m.committed, "1PC UPDATED must carry the worker commit");
+  // Paper §III-B/D: the worker has committed, so this transaction can no
+  // longer abort.  Reply to the client and release the locks NOW; the
+  // coordinator's own commit proceeds off the critical path.
+  ct->mem_committed = true;
+  if (ct->recovered) {
+    store_.replay_committed(id, ct->txn.participants.front().ops);
+  } else {
+    store_.commit_mem(id);
+  }
+  locks_.release_all(id);
+  if (history_ != nullptr) history_->record_commit(id);
+  reply_client(*ct, TxnOutcome::kCommitted);
+  ct->phase = CoordPhase::kForcingCommit;
+  phase_mark(id, obs::PhaseId::kCommitForce, true);
+  std::vector<LogRecord> recs = wal_.checkout_recs();
+  recs.push_back(update_record(id, ct->txn.participants.front().ops));
+  recs.push_back(state_record(RecordType::kCommitted, id));
+  const std::uint64_t epoch = crash_epoch_;
+  wal_.force(std::move(recs), WriteTag{"commit", /*critical=*/false},
+             [this, id, epoch] {
+               if (epoch != crash_epoch_) return;
+               on_commit_durable(id);
+             });
 }
 
 void AcpEngine::enter_voting(TxnId id) {
@@ -631,7 +628,7 @@ void AcpEngine::enter_voting(TxnId id) {
 void AcpEngine::maybe_commit(TxnId id) {
   CoordTxn* ct = coord_of(id);
   if (ct == nullptr || ct->aborting) return;
-  SIM_CHECK(ct->proto != ProtocolKind::kOnePC);
+  SIM_CHECK(!traits(ct->proto).commit_on_update);
   const std::size_t workers = ct->txn.participants.size() - 1;
   if (!ct->own_prepare_durable || ct->prepared.size() < workers) return;
   if (ct->phase == CoordPhase::kForcingCommit ||
@@ -659,74 +656,47 @@ void AcpEngine::on_commit_durable(TxnId id) {
   CoordTxn* ct = coord_of(id);
   if (ct == nullptr) return;
   phase_mark(id, obs::PhaseId::kCommitForce, false);
-  switch (ct->proto) {
-    case ProtocolKind::kPrN:
-    case ProtocolKind::kPrA: {
-      // Commit locally, release, then drive the decision to the workers;
-      // the client reply waits for their ACKs.  (PrA commits exactly like
-      // PrN — its savings are all on the abort path.)
-      if (ct->recovered) {
-        store_.replay_committed(id, ct->txn.participants.front().ops);
-      } else {
-        store_.commit_txn(id);
-      }
-      locks_.release_all(id);
-      if (history_ != nullptr) history_->record_commit(id);
+  const ProtocolTraits& t = traits(ct->proto);
+  const bool await_acks = t.commit_needs_acks();
+  if (t.commit_on_update) {
+    // The client was answered when UPDATED arrived; this is the
+    // off-critical-path tail: make it stable, then let the worker finalize.
+    store_.commit_stable(id);
+  } else {
+    if (ct->recovered) {
+      store_.replay_committed(id, ct->txn.participants.front().ops);
+    } else {
+      store_.commit_txn(id);
+    }
+    locks_.release_all(id);
+    if (history_ != nullptr) history_->record_commit(id);
+    if (await_acks) {
+      // PrN/PrA: the client reply waits for the workers' ACKs.  (PrA
+      // commits exactly like PrN — its savings are all on the abort path.)
       ct->phase = CoordPhase::kWaitingAcks;
       phase_mark(id, obs::PhaseId::kAckRound, true);
-      for (std::size_t i = 1; i < ct->txn.participants.size(); ++i) {
-        Msg m;
-        m.type = MsgType::kCommit;
-        m.txn = id;
-        m.proto = ct->proto;
-        send(ct->txn.participants[i].node, std::move(m), /*extra=*/true,
-             /*critical=*/true);
-      }
-      arm_response_timer(id);
-      break;
-    }
-    case ProtocolKind::kPrC:
-    case ProtocolKind::kEP: {
-      if (ct->recovered) {
-        store_.replay_committed(id, ct->txn.participants.front().ops);
-      } else {
-        store_.commit_txn(id);
-      }
-      locks_.release_all(id);
-      if (history_ != nullptr) history_->record_commit(id);
+    } else {
       // Presume commit: reply to the client before the workers commit, send
       // the decision without waiting for acknowledgements, and finalize
       // (checkpoint) the log immediately — a later DECISION_REQ that finds
       // no log entry presumes commit.
       reply_client(*ct, TxnOutcome::kCommitted);
-      for (std::size_t i = 1; i < ct->txn.participants.size(); ++i) {
-        Msg m;
-        m.type = MsgType::kCommit;
-        m.txn = id;
-        m.proto = ct->proto;
-        send(ct->txn.participants[i].node, std::move(m), /*extra=*/true,
-             /*critical=*/false);
-      }
-      wal_.partition().truncate_txn(id);
-      finish_coordination(id, TxnOutcome::kCommitted);
-      break;
-    }
-    case ProtocolKind::kOnePC: {
-      // The client was answered when UPDATED arrived; this is the
-      // off-critical-path tail: make it stable, then let the worker
-      // finalize.
-      store_.commit_stable(id);
-      Msg m;
-      m.type = MsgType::kAck;
-      m.txn = id;
-      m.proto = ct->proto;
-      send(ct->txn.sole_worker(), std::move(m), /*extra=*/true,
-           /*critical=*/false);
-      wal_.partition().truncate_txn(id);
-      finish_coordination(id, TxnOutcome::kCommitted);
-      break;
     }
   }
+  for (std::size_t i = 1; i < ct->txn.participants.size(); ++i) {
+    Msg m;
+    m.type = commit_notice(ct->proto);
+    m.txn = id;
+    m.proto = ct->proto;
+    send(ct->txn.participants[i].node, std::move(m), /*extra=*/true,
+         /*critical=*/await_acks);
+  }
+  if (await_acks) {
+    arm_response_timer(id);
+    return;
+  }
+  wal_.partition().truncate_txn(id);
+  finish_coordination(id, TxnOutcome::kCommitted);
 }
 
 void AcpEngine::on_all_acked(TxnId id) {
@@ -765,7 +735,7 @@ void AcpEngine::abort_coordination(TxnId id, const std::string& why) {
   locks_.release_all(id);
   if (history_ != nullptr) history_->record_abort(id);
   reply_client(*ct, TxnOutcome::kAborted);
-  if (ct->proto == ProtocolKind::kPrA) {
+  if (traits(ct->proto).silent_abort) {
     // Presumed abort: no abort record, no acknowledgement round.  Workers
     // (and anyone asking later) infer abort from the absence of log state.
     if (ct->reqs_sent) send_decision_round(*ct, MsgType::kAbort);
@@ -854,12 +824,16 @@ void AcpEngine::worker_handle_update_req(Msg& m) {
     // Duplicate (coordinator recovery re-sent it).  Resend whatever we last
     // told the coordinator; if still working, stay quiet.
     if (wt->phase == WorkPhase::kPrepared) {
+      // A worker rebuilt from its PREPARED record answers as a voter: the
+      // UPDATED that carried an EP vote is a pre-crash message.
+      const bool voted_on_update =
+          !wt->recovered && traits(wt->proto).prepare_on_update;
       Msg r;
-      r.type = wt->prepare_on_update ? MsgType::kUpdated : MsgType::kPrepared;
+      r.type = voted_on_update ? MsgType::kUpdated : MsgType::kPrepared;
       r.txn = id;
       r.proto = wt->proto;
       r.prepared = true;
-      send(wt->coord, std::move(r), /*extra=*/!wt->prepare_on_update,
+      send(wt->coord, std::move(r), /*extra=*/!voted_on_update,
            /*critical=*/false);
     } else if (wt->phase == WorkPhase::kCommitted) {
       Msg r;
@@ -894,8 +868,6 @@ void AcpEngine::worker_handle_update_req(Msg& m) {
   wt.coord = m.from;
   wt.proto = m.proto;
   wt.ops = std::move(m.ops);
-  wt.prepare_on_update = m.piggyback_prepare;
-  wt.commit_on_update = m.piggyback_commit;
   wt.phase = WorkPhase::kLocking;
   sorted_objects_into(wt.ops, wt.lock_objs);
   phase_mark(id, obs::PhaseId::kWorkerLock, true);
@@ -970,13 +942,14 @@ void AcpEngine::worker_after_updates(TxnId id) {
   WorkTxn* wt = work_of(id);
   if (wt == nullptr) return;
   phase_mark(id, obs::PhaseId::kWorkerUpdate, false);
-  if (wt->commit_on_update) {
+  const ProtocolTraits& t = traits(wt->proto);
+  if (t.commit_on_update) {
     // 1PC: commit immediately; the UPDATED reply doubles as the vote and
     // the commit confirmation.
-    worker_commit(id, /*forced_record=*/true, /*reply_updated=*/true);
-  } else if (wt->prepare_on_update) {
+    worker_commit(id);
+  } else if (t.prepare_on_update) {
     // EP: prepare now; UPDATED doubles as the PREPARED vote.
-    worker_prepare(id, /*also_reply_updated=*/true);
+    worker_prepare(id);
   } else {
     wt->phase = WorkPhase::kUpdated;
     Msg r;
@@ -1010,7 +983,7 @@ void AcpEngine::worker_after_updates(TxnId id) {
   }
 }
 
-void AcpEngine::worker_prepare(TxnId id, bool also_reply_updated) {
+void AcpEngine::worker_prepare(TxnId id) {
   WorkTxn* wt = work_of(id);
   if (wt == nullptr) return;
   std::vector<LogRecord> recs = wal_.checkout_recs();
@@ -1028,20 +1001,21 @@ void AcpEngine::worker_prepare(TxnId id, bool also_reply_updated) {
   const std::uint64_t epoch = crash_epoch_;
   phase_mark(id, obs::PhaseId::kWorkerPrepareForce, true);
   wal_.force(std::move(recs), WriteTag{"prepare", /*critical=*/true},
-             [this, id, epoch, also_reply_updated] {
+             [this, id, epoch] {
                if (epoch != crash_epoch_) return;
                WorkTxn* w = work_of(id);
                if (w == nullptr) return;
                w->phase = WorkPhase::kPrepared;
                phase_mark(id, obs::PhaseId::kWorkerPrepareForce, false);
+               // EP votes with UPDATED; the others answer PREPARE_REQ.
+               const bool on_update = traits(w->proto).prepare_on_update;
                Msg r;
-               r.type = also_reply_updated ? MsgType::kUpdated
-                                           : MsgType::kPrepared;
+               r.type = on_update ? MsgType::kUpdated : MsgType::kPrepared;
                r.txn = id;
                r.proto = w->proto;
                r.prepared = true;
-               send(w->coord, std::move(r), /*extra=*/!also_reply_updated,
-                    /*critical=*/!also_reply_updated);
+               send(w->coord, std::move(r), /*extra=*/!on_update,
+                    /*critical=*/!on_update);
                // A prepared worker must not block forever if the decision
                // gets lost (PrC/EP send COMMIT fire-and-forget): poll the
                // coordinator after the response budget expires.
@@ -1066,10 +1040,10 @@ void AcpEngine::worker_prepare(TxnId id, bool also_reply_updated) {
              });
 }
 
-void AcpEngine::worker_commit(TxnId id, bool forced_record,
-                              bool reply_updated) {
+void AcpEngine::worker_commit(TxnId id) {
   WorkTxn* wt = work_of(id);
   if (wt == nullptr) return;
+  const ProtocolTraits& t = traits(wt->proto);
   env_.cancel(wt->retry_timer);  // decision arrived; stop polling
   wt->retry_timer = TimerHandle{};
   LogRecord committed = state_record(RecordType::kCommitted, id);
@@ -1079,7 +1053,7 @@ void AcpEngine::worker_commit(TxnId id, bool forced_record,
   }
   committed.payload.push_back(static_cast<std::uint8_t>(wt->proto));
   const std::uint64_t epoch = crash_epoch_;
-  auto complete = [this, id, epoch, reply_updated] {
+  auto complete = [this, id, epoch] {
     if (epoch != crash_epoch_) return;
     WorkTxn* w = work_of(id);
     if (w == nullptr) return;
@@ -1091,7 +1065,8 @@ void AcpEngine::worker_commit(TxnId id, bool forced_record,
       store_.commit_txn(id);
     }
     locks_.release_all(id);
-    if (reply_updated) {
+    const ProtocolTraits& tw = traits(w->proto);
+    if (tw.commit_on_update) {
       // 1PC: committed; hold the log open until the coordinator's ACK.
       w->phase = WorkPhase::kCommitted;
       Msg r;
@@ -1104,8 +1079,7 @@ void AcpEngine::worker_commit(TxnId id, bool forced_record,
       if (cfg_.response_timeout > Duration::zero()) {
         arm_worker_retry(id, MsgType::kAckReq);
       }
-    } else if (w->proto == ProtocolKind::kPrN ||
-               w->proto == ProtocolKind::kPrA) {
+    } else if (tw.commit_needs_acks()) {
       Msg r;
       r.type = MsgType::kAck;
       r.txn = id;
@@ -1120,9 +1094,9 @@ void AcpEngine::worker_commit(TxnId id, bool forced_record,
     }
   };
 
-  if (forced_record) {
+  if (!t.presume_commit) {
     std::vector<LogRecord> recs = wal_.checkout_recs();
-    if (wt->commit_on_update && !wt->recovered) {
+    if (t.commit_on_update && !wt->recovered) {
       // 1PC folds the update images into the same forced block as the
       // COMMITTED record — the single critical-path write at the worker.
       recs.push_back(update_record(id, wt->ops));
@@ -1170,7 +1144,7 @@ void AcpEngine::worker_handle_prepare_req(const Msg& m) {
     return;
   }
   if (wt->phase == WorkPhase::kUpdated) {
-    worker_prepare(id, /*also_reply_updated=*/false);
+    worker_prepare(id);
   }
   // Still locking/updating: the PREPARE raced ahead of our UPDATED reply;
   // it will be answered when the update phase completes.
@@ -1191,10 +1165,7 @@ void AcpEngine::worker_handle_commit(const Msg& m) {
   }
   if (wt->phase != WorkPhase::kPrepared) return;  // still preparing; decision
                                                   // will re-arrive via retry
-  worker_commit(id,
-                /*forced_record=*/wt->proto == ProtocolKind::kPrN ||
-                    wt->proto == ProtocolKind::kPrA,
-                /*reply_updated=*/false);
+  worker_commit(id);
 }
 
 void AcpEngine::worker_handle_abort(const Msg& m) {
@@ -1202,7 +1173,7 @@ void AcpEngine::worker_handle_abort(const Msg& m) {
   WorkTxn* wt = work_of(id);
   if (wt == nullptr) {
     // Presumed abort never waits for abort ACKs, so don't send one.
-    if (m.proto == ProtocolKind::kPrA) return;
+    if (traits(m.proto).silent_abort) return;
     Msg r;
     r.type = MsgType::kAck;
     r.txn = id;
@@ -1214,7 +1185,7 @@ void AcpEngine::worker_handle_abort(const Msg& m) {
   env_.cancel(wt->retry_timer);
   store_.abort_txn(id);
   locks_.release_all(id);
-  if (wt->proto == ProtocolKind::kPrA) {
+  if (traits(wt->proto).silent_abort) {
     // Presumed abort: drop the prepared state, write nothing, ACK nothing.
     wal_.partition().truncate_txn(id);
     finished_[id] = TxnOutcome::kAborted;

@@ -2,10 +2,12 @@
 //
 // One AcpEngine runs on every metadata server and plays both roles —
 // coordinator for transactions submitted to this node, worker for
-// transactions coordinated elsewhere — for all four protocols (PrN, PrC,
-// EP, 1PC).  The normal-case message/logging choreography lives in
-// engine.cc; crash recovery, decision retry and the 1PC fencing path live
-// in engine_recovery.cc.  DESIGN.md §4 tabulates the per-protocol costs the
+// transactions coordinated elsewhere — for all five protocols (PrN, PrC,
+// EP, 1PC, PrA).  The engine is one choreography; what differs per protocol
+// is read from its ProtocolTraits row (acp/protocol.h) and nowhere else.
+// The normal-case message/logging choreography lives in engine.cc; crash
+// recovery, decision retry and the 1PC fencing path live in
+// engine_recovery.cc.  DESIGN.md §4 tabulates the per-protocol costs the
 // engine is instrumented to reproduce.
 //
 // Concurrency model: the engine is a set of event callbacks over the
@@ -121,7 +123,6 @@ class AcpEngine {
     SmallVec<std::uint32_t, 4> prepared;  // workers that voted PREPARED
     SmallVec<std::uint32_t, 4> acked;
     bool own_prepare_durable = false;
-    bool started_durable = false;
     bool mem_committed = false;
     bool replied = false;
     bool aborting = false;
@@ -144,7 +145,7 @@ class AcpEngine {
       updated.clear();
       prepared.clear();
       acked.clear();
-      own_prepare_durable = started_durable = mem_committed = false;
+      own_prepare_durable = mem_committed = false;
       replied = aborting = recovered = fencing = reqs_sent = false;
       submitted = SimTime{};
       response_timer = TimerHandle{};
@@ -169,10 +170,8 @@ class AcpEngine {
     WorkPhase phase = WorkPhase::kLocking;
     std::vector<ObjectId> lock_objs;
     std::size_t locks_granted = 0;
-    bool prepare_on_update = false;  // EP
-    bool commit_on_update = false;   // 1PC
-    bool recovered = false;          // reconstructed from the log on reboot
-    bool prepare_forced = false;     // a PREPARED record was sent to disk
+    bool recovered = false;       // reconstructed from the log on reboot
+    bool prepare_forced = false;  // a PREPARED record was sent to disk
     TimerHandle retry_timer;
 
     void reset() {
@@ -183,7 +182,6 @@ class AcpEngine {
       phase = WorkPhase::kLocking;
       lock_objs.clear();
       locks_granted = 0;
-      prepare_on_update = commit_on_update = false;
       recovered = prepare_forced = false;
       retry_timer = TimerHandle{};
     }
@@ -213,8 +211,11 @@ class AcpEngine {
   void worker_acquire_next_lock(TxnId id);
   void worker_run_updates(TxnId id);
   void worker_after_updates(TxnId id);
-  void worker_prepare(TxnId id, bool also_reply_updated);
-  void worker_commit(TxnId id, bool forced_record, bool reply_updated);
+  // Both read the worker's protocol: EP's prepare answers UPDATED, 1PC's
+  // commit folds in the updates and answers UPDATED, presumed-commit
+  // protocols write COMMITTED lazily.
+  void worker_prepare(TxnId id);
+  void worker_commit(TxnId id);
   void worker_handle_prepare_req(const Msg& m);
   void worker_handle_commit(const Msg& m);
   void worker_handle_abort(const Msg& m);
@@ -234,6 +235,11 @@ class AcpEngine {
   void handle_decision_req(const Msg& m);
   void handle_decision(const Msg& m);
   void handle_ack_req(const Msg& m);
+  /// Re-announces a decision found in the log after a reboot: protocols
+  /// that collect ACKs for it keep a coordination open until they arrive,
+  /// the others notify once and forget.
+  void resend_logged_decision(Transaction txn, ProtocolKind proto,
+                              TxnOutcome outcome);
   void maybe_finish_recovery();
   void arm_worker_retry(TxnId id, MsgType ask);
 
@@ -251,6 +257,12 @@ class AcpEngine {
   [[nodiscard]] LogRecord ended_record(TxnId txn, TxnOutcome outcome) const;
   [[nodiscard]] LogRecord update_record(TxnId txn,
                                         const std::vector<Operation>& ops) const;
+  /// What a coordinator with no trace of `proto` transaction answers: the
+  /// protocol's presumption about a missing log record.
+  [[nodiscard]] static TxnOutcome presumed_outcome(ProtocolKind proto);
+  /// The message that tells workers a commit is final: COMMIT, or for 1PC
+  /// (whose worker has already committed) the ACK it holds its log for.
+  [[nodiscard]] static MsgType commit_notice(ProtocolKind proto);
   [[nodiscard]] static LockMode mode_for(const std::vector<Operation>& ops,
                                          ObjectId obj);
   [[nodiscard]] std::vector<ObjectId> sorted_objects(

@@ -56,6 +56,8 @@ void parse_worker_payload(const LogRecord& rec, NodeId& coord,
          << (8 * i);
   }
   coord = NodeId(c);
+  SIM_CHECK_MSG(rec.payload[4] < std::size(kProtocolTraits),
+                "worker state record names no protocol");
   proto = static_cast<ProtocolKind>(rec.payload[4]);
 }
 
@@ -138,43 +140,24 @@ void AcpEngine::recover_coordinator_txn(TxnId id,
       finished_[id] = ended_outcome(recs, id);
       return;
 
-    case RecordType::kStarted: {
-      if (proto == ProtocolKind::kOnePC) {
+    case RecordType::kStarted:
+      if (traits(proto).commit_on_update) {
         // Paper §III-C: re-execute from the redo record.
         stats_.add("acp.recovery.redrive");
         redrive_transaction(std::move(txn));
         return;
       }
       // 2PC family: the updates died with the cache; abort (paper §II-C).
+      // Presumed abort writes no record: workers that miss the ABORT learn
+      // the outcome from the missing log state.
       stats_.add("acp.recovery.abort_from_started");
-      if (proto == ProtocolKind::kPrA) {
-        // Presumed abort: notify once, forget immediately; workers that
-        // missed the ABORT learn the outcome from the missing log state.
-        CoordTxn tmp;
-        tmp.txn = std::move(txn);
-        tmp.proto = proto;
-        send_decision_round(tmp, MsgType::kAbort);
-        wal_.partition().truncate_txn(id);
-        finished_[id] = TxnOutcome::kAborted;
-        if (history_ != nullptr) history_->record_abort(id);
-        return;
+      if (!traits(proto).silent_abort) {
+        wal_.lazy(state_record(RecordType::kAborted, id),
+                  WriteTag{"abort", false});
       }
-      CoordTxn& ct = new_coord(id);
-      ct.txn = std::move(txn);
-      ct.proto = proto;
-      ct.recovered = true;
-      ct.replied = true;  // the client connection died with the crash
-      ct.aborting = true;
-      ct.submitted = env_.now();
-      ct.phase = CoordPhase::kWaitingAcks;
-      ++recovery_outstanding_;
-      wal_.lazy(state_record(RecordType::kAborted, id),
-                WriteTag{"abort", false});
       if (history_ != nullptr) history_->record_abort(id);
-      send_decision_round(ct, MsgType::kAbort);
-      arm_response_timer(id);
+      resend_logged_decision(std::move(txn), proto, TxnOutcome::kAborted);
       return;
-    }
 
     case RecordType::kPrepared: {
       // Resume the protocol: re-collect votes, then commit normally.  The
@@ -186,7 +169,6 @@ void AcpEngine::recover_coordinator_txn(TxnId id,
       ct.proto = proto;
       ct.recovered = true;
       ct.replied = true;
-      ct.started_durable = true;
       ct.own_prepare_durable = true;
       ct.submitted = env_.now();
       ct.phase = CoordPhase::kLocking;
@@ -196,70 +178,54 @@ void AcpEngine::recover_coordinator_txn(TxnId id,
       return;
     }
 
-    case RecordType::kCommitted: {
-      stats_.add("acp.recovery.resume_from_committed");
+    case RecordType::kCommitted:
       // COMMITTED durable implies the stable apply already ran (they share
       // one event) and the locks were released; only the decision
       // distribution can be outstanding.
-      if (proto == ProtocolKind::kOnePC) {
-        store_.replay_committed(id, txn.participants.front().ops);
-        Msg m;
-        m.type = MsgType::kAck;
-        m.txn = id;
-        m.proto = proto;
-        send(txn.sole_worker(), std::move(m), /*extra=*/true,
-             /*critical=*/false);
-        wal_.partition().truncate_txn(id);
-        finished_[id] = TxnOutcome::kCommitted;
-        return;
-      }
+      stats_.add("acp.recovery.resume_from_committed");
       store_.replay_committed(id, txn.participants.front().ops);
-      if (proto == ProtocolKind::kPrC || proto == ProtocolKind::kEP) {
-        // Crash raced the post-decision cleanup; resend COMMIT once and
-        // finalize (presumed commit needs no ACKs).
-        CoordTxn tmp;
-        tmp.txn = std::move(txn);
-        tmp.proto = proto;
-        send_decision_round(tmp, MsgType::kCommit);
-        wal_.partition().truncate_txn(id);
-        finished_[id] = TxnOutcome::kCommitted;
-        return;
-      }
-      // PrN: keep resending COMMIT until every worker ACKs.
-      CoordTxn& ct = new_coord(id);
-      ct.txn = std::move(txn);
-      ct.proto = proto;
-      ct.recovered = true;
-      ct.replied = true;
-      ct.started_durable = true;
-      ct.own_prepare_durable = true;
-      ct.submitted = env_.now();
-      ct.phase = CoordPhase::kWaitingAcks;
-      ++recovery_outstanding_;
-      send_decision_round(ct, MsgType::kCommit);
-      arm_response_timer(id);
+      resend_logged_decision(std::move(txn), proto, TxnOutcome::kCommitted);
       return;
-    }
 
-    case RecordType::kAborted: {
+    case RecordType::kAborted:
       stats_.add("acp.recovery.resume_from_aborted");
-      CoordTxn& ct = new_coord(id);
-      ct.txn = std::move(txn);
-      ct.proto = proto;
-      ct.recovered = true;
-      ct.replied = true;
-      ct.aborting = true;
-      ct.submitted = env_.now();
-      ct.phase = CoordPhase::kWaitingAcks;
-      ++recovery_outstanding_;
-      send_decision_round(ct, MsgType::kAbort);
-      arm_response_timer(id);
+      resend_logged_decision(std::move(txn), proto, TxnOutcome::kAborted);
       return;
-    }
 
     default:
       SIM_CHECK_MSG(false, "unexpected coordinator log state");
   }
+}
+
+void AcpEngine::resend_logged_decision(Transaction txn, ProtocolKind proto,
+                                       TxnOutcome outcome) {
+  const TxnId id = txn.id;
+  const bool commit = outcome == TxnOutcome::kCommitted;
+  const MsgType type = commit ? commit_notice(proto) : MsgType::kAbort;
+  const bool await_acks = commit ? traits(proto).commit_needs_acks()
+                                 : !traits(proto).silent_abort;
+  if (!await_acks) {
+    // No ACKs to collect: notify once and forget.
+    CoordTxn tmp;
+    tmp.txn = std::move(txn);
+    tmp.proto = proto;
+    send_decision_round(tmp, type);
+    wal_.partition().truncate_txn(id);
+    finished_[id] = outcome;
+    return;
+  }
+  // Keep resending the decision until every worker ACKs.
+  CoordTxn& ct = new_coord(id);
+  ct.txn = std::move(txn);
+  ct.proto = proto;
+  ct.recovered = true;
+  ct.replied = true;  // the client connection died with the crash
+  ct.aborting = !commit;
+  ct.submitted = env_.now();
+  ct.phase = CoordPhase::kWaitingAcks;
+  ++recovery_outstanding_;
+  send_decision_round(ct, type);
+  arm_response_timer(id);
 }
 
 void AcpEngine::recover_worker_txn(TxnId id,
@@ -300,7 +266,7 @@ void AcpEngine::recover_worker_txn(TxnId id,
     case RecordType::kPrepared: {
       stats_.add("acp.recovery.worker_prepared");
       NodeId coord;
-      ProtocolKind proto = ProtocolKind::kPrN;
+      ProtocolKind proto{};
       auto it = std::find_if(recs.begin(), recs.end(), [](const LogRecord& r) {
         return r.type == RecordType::kPrepared;
       });
@@ -329,14 +295,14 @@ void AcpEngine::recover_worker_txn(TxnId id,
     case RecordType::kCommitted: {
       stats_.add("acp.recovery.worker_committed");
       NodeId coord;
-      ProtocolKind proto = ProtocolKind::kPrN;
+      ProtocolKind proto{};
       auto it = std::find_if(recs.begin(), recs.end(), [](const LogRecord& r) {
         return r.type == RecordType::kCommitted;
       });
       SIM_CHECK(it != recs.end());
       parse_worker_payload(*it, coord, proto);
       finished_[id] = TxnOutcome::kCommitted;
-      if (proto == ProtocolKind::kOnePC) {
+      if (traits(proto).commit_on_update) {
         // Paper §III-C: ask the coordinator to resend the ACKNOWLEDGE so
         // the log can be finalized.
         WorkTxn& wt = new_work(id);
@@ -411,7 +377,7 @@ void AcpEngine::suspect(NodeId peer) {
   suspected_.insert(peer);
   std::vector<TxnId> affected;
   coord_.for_each([&](TxnId id, const CoordTxn* ct) {
-    if (ct->proto == ProtocolKind::kOnePC &&
+    if (traits(ct->proto).commit_on_update &&
         ct->phase == CoordPhase::kUpdating && !ct->fencing &&
         ct->txn.sole_worker() == peer) {
       affected.push_back(id);
@@ -564,10 +530,7 @@ void AcpEngine::handle_decision_req(const Msg& m) {
   r.type = MsgType::kDecision;
   r.txn = id;
   r.proto = m.proto;
-  r.outcome = (m.proto == ProtocolKind::kPrN ||
-               m.proto == ProtocolKind::kPrA)
-                  ? TxnOutcome::kAborted
-                  : TxnOutcome::kCommitted;
+  r.outcome = presumed_outcome(m.proto);
   stats_.add("acp.decision.presumed");
   send(m.from, std::move(r), /*extra=*/true, /*critical=*/false);
 }
@@ -579,11 +542,7 @@ void AcpEngine::handle_decision(const Msg& m) {
   env_.cancel(wt->retry_timer);
   wt->retry_timer = TimerHandle{};
   if (m.outcome == TxnOutcome::kCommitted) {
-    worker_commit(id,
-                  /*forced_record=*/wt->proto == ProtocolKind::kPrN ||
-                      wt->proto == ProtocolKind::kPrA ||
-                      wt->proto == ProtocolKind::kOnePC,
-                  /*reply_updated=*/false);
+    worker_commit(id);
   } else {
     SIM_CHECK_MSG(!store_.stable_applied(id),
                   "abort decision for a transaction already stable");

@@ -4,7 +4,7 @@
 // subset):
 //
 //   kUpdateReq   coordinator -> worker   carry the worker's operations;
-//                                        flags select EP piggybacked
+//                                        `proto` selects EP piggybacked
 //                                        prepare / 1PC piggybacked commit.
 //   kUpdated     worker -> coordinator   updates done; `prepared`/`committed`
 //                                        report piggybacked outcomes.
@@ -51,12 +51,10 @@ struct Msg {
   TxnId txn = 0;
   NodeId from;
   ProtocolKind proto = ProtocolKind::kPrN;
-  std::vector<Operation> ops;     // kUpdateReq / kPrepareReq(resend) payload
-  bool piggyback_prepare = false;  // kUpdateReq: EP semantics
-  bool piggyback_commit = false;   // kUpdateReq: 1PC semantics
-  bool prepared = false;           // kUpdated: EP worker already prepared
-  bool committed = false;          // kUpdated: 1PC worker already committed
-  bool nudge = false;              // retry copy, not the first transmission
+  std::vector<Operation> ops;  // kUpdateReq / kPrepareReq(resend) payload
+  bool prepared = false;        // kUpdated: EP worker already prepared
+  bool committed = false;       // kUpdated: 1PC worker already committed
+  bool nudge = false;           // retry copy, not the first transmission
   TxnOutcome outcome = TxnOutcome::kPending;  // kDecision
 };
 

@@ -61,6 +61,7 @@ struct Span {
   [[nodiscard]] std::int64_t duration_ns() const {
     return end.count_nanos() - begin.count_nanos();
   }
+  [[nodiscard]] bool operator==(const Span&) const = default;
 };
 
 struct SpanSet {

@@ -21,7 +21,8 @@ struct EdgeFixture {
   ObjectId dir;
 
   explicit EdgeFixture(ProtocolKind proto = ProtocolKind::kOnePC,
-                       std::uint32_t nodes = 2) {
+                       std::uint32_t nodes = 2, bool traced = false)
+      : trace(traced) {
     cc.n_nodes = nodes;
     cc.protocol = proto;
     cc.acp.response_timeout = Duration::millis(300);
@@ -172,6 +173,48 @@ TEST(DuplicateMessages, RedrivenUpdateReqIsIdempotentAtTheWorker) {
   EXPECT_TRUE(f.cluster->store(NodeId(0)).stable_lookup(f.dir, "dup")
                   .has_value());
   EXPECT_TRUE(f.cluster->check_invariants({f.dir}).empty());
+}
+
+// EP folds the vote into UPDATED, but a worker rebuilt from its PREPARED
+// record is a plain voter: a duplicate UPDATE_REQ must get PREPARED back,
+// not a second UPDATED the coordinator would read as a fresh update.
+TEST(DuplicateMessages, RecoveredEpWorkerAnswersUpdateReqWithPrepared) {
+  EdgeFixture f(ProtocolKind::kEP, 2, /*traced=*/true);
+  const TxnId txn = f.cluster->submit(
+      f.planner->plan_create(f.dir, "ep", f.ids.next(), false),
+      [](TxnId, TxnOutcome) {});
+  // The worker's UPDATED (its vote) leaves at ~40.3 ms; the coordinator's
+  // commit force would land ~20 ms later.  Take both down in between and
+  // bring only the worker back, so it waits prepared for a decision.
+  f.sim.run_until(SimTime::zero() + Duration::millis(41));
+  f.cluster->crash_node(NodeId(0));
+  f.sim.run_until(SimTime::zero() + Duration::millis(45));
+  f.cluster->crash_node(NodeId(1));
+  f.cluster->reboot_node(NodeId(1));
+  f.sim.run_until(SimTime::zero() + Duration::millis(500));
+  ASSERT_EQ(f.cluster->engine(NodeId(1)).active_participations(), 1u);
+
+  const std::size_t mark = f.trace.events().size();
+  Msg m;
+  m.type = MsgType::kUpdateReq;
+  m.txn = txn;
+  m.proto = ProtocolKind::kEP;
+  m.from = NodeId(0);
+  Envelope env;
+  env.from = NodeId(0);
+  env.to = NodeId(1);
+  env.txn = txn;
+  env.payload.emplace<Msg>(m);
+  f.cluster->engine(NodeId(1)).on_message(std::move(env));
+
+  std::vector<std::string> replies;
+  for (std::size_t i = mark; i < f.trace.events().size(); ++i) {
+    const TraceEvent& e = f.trace.events()[i];
+    if (e.kind == TraceKind::kMessageSend && e.actor == "mds1") {
+      replies.push_back(e.detail);
+    }
+  }
+  EXPECT_EQ(replies, std::vector<std::string>{"PREPARED -> mds0"});
 }
 
 TEST(StaleMessages, LateAcksAndCommitsForFinishedTxnsAreHarmless) {

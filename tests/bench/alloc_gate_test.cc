@@ -16,6 +16,10 @@
 // is deliberately not asserted here).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <new>
+#include <vector>
+
 #include "cluster/cluster.h"
 #include "mds/namespace.h"
 #include "report/alloc_hook.h"
@@ -96,6 +100,32 @@ TEST(AllocGate, CounterLookupsNeverBuildTemporaryKeys) {
   }
   EXPECT_EQ(benchreport::allocation_count() - allocs0, 0u)
       << "a registry entry point built a temporary std::string key";
+}
+
+// The hook must replace the whole operator new/delete family.  Any aligned
+// delete it misses falls back to the runtime's (or a sanitizer's) own,
+// which then frees the hook's posix_memalign memory through a different
+// allocator: ASan reports alloc-dealloc-mismatch.  A vector of an
+// over-aligned type grows through operator new(size, align) and frees
+// through the sized aligned delete (ptr, size, align).
+TEST(AllocGate, AlignedAllocationsRoundTripThroughHook) {
+  struct alignas(64) CacheLine {
+    std::uint64_t words[8];
+  };
+  const std::uint64_t allocs0 = benchreport::allocation_count();
+  {
+    std::vector<CacheLine> lines;
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      lines.push_back(CacheLine{{i}});
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&lines.back()) % 64, 0u);
+    }
+  }
+  EXPECT_GT(benchreport::allocation_count() - allocs0, 1u)
+      << "vector growth bypassed the counting hook";
+
+  void* p = ::operator new(64, std::align_val_t{64}, std::nothrow);
+  ASSERT_NE(p, nullptr);
+  ::operator delete(p, std::align_val_t{64}, std::nothrow);
 }
 
 }  // namespace

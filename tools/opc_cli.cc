@@ -30,7 +30,6 @@
 #include "core/sweep.h"
 #include "core/timeline.h"
 #include "obs/assembler.h"
-#include "obs/export_binary.h"
 #include "obs/export_chrome.h"
 #include "obs/report.h"
 #include "report/bench_report.h"
@@ -437,18 +436,15 @@ int cmd_trace(const Args& a) {
 
   const std::string exp = a.str("export", "");
   if (!exp.empty()) {
-    if (exp != "chrome" && exp != "spans") {
-      std::fprintf(stderr, "unknown --export format (chrome|spans)\n");
+    if (exp != "chrome") {
+      std::fprintf(stderr, "unknown --export format (chrome)\n");
       return 2;
     }
     // With --export, the positional (if any) is the output path.
-    const std::string out_path =
-        !pos.empty() ? pos[0] : (exp == "chrome" ? "trace.json" : "spans.bin");
+    const std::string out_path = !pos.empty() ? pos[0] : "trace.json";
     TracedStorm run;
     if (!run_traced_storm(a, run)) return 2;
-    const std::string data = exp == "chrome"
-                                 ? obs::export_chrome_trace(run.spans)
-                                 : obs::encode_span_log(run.spans);
+    const std::string data = obs::export_chrome_trace(run.spans);
     if (!write_file(out_path, data)) return 2;
     std::printf("wrote %s (%zu spans, %zu bytes)\n", out_path.c_str(),
                 run.spans.size(), data.size());
@@ -459,7 +455,7 @@ int cmd_trace(const Args& a) {
       action != "phases") {
     std::fprintf(stderr,
                  "usage: opc trace [report|top|phases|diff A.json B.json] "
-                 "[--export chrome|spans OUT] [--proto P] [--seconds N] "
+                 "[--export chrome OUT] [--proto P] [--seconds N] "
                  "[--json FILE] [--n N]\n");
     return 2;
   }
@@ -958,8 +954,7 @@ int cmd_help(const Args&) {
       "  trace top [--n 10]                  slowest transactions\n"
       "  trace phases                        per-phase time breakdown\n"
       "  trace diff A.json B.json            compare two REPORT.json files\n"
-      "  trace --export chrome out.json      Perfetto/chrome trace_event\n"
-      "  trace --export spans out.bin        compact binary span log\n");
+      "  trace --export chrome out.json      Perfetto/chrome trace_event\n");
   return 0;
 }
 
