@@ -1189,7 +1189,7 @@ void AcpEngine::worker_handle_abort(const Msg& m) {
     // Presumed abort: drop the prepared state, write nothing, ACK nothing.
     wal_.partition().truncate_txn(id);
     finished_[id] = TxnOutcome::kAborted;
-    work_.erase(id);
+    destroy_work(id);
     return;
   }
   if (wt->prepare_forced || wt->recovered ||

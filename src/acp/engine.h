@@ -96,6 +96,14 @@ class AcpEngine {
   [[nodiscard]] std::size_t active_participations() const {
     return work_.size();
   }
+  /// Worker-state pool: objects ever allocated, and those parked for reuse.
+  /// Without a leak, created stays at the peak of active_participations().
+  [[nodiscard]] std::size_t work_pool_created() const {
+    return work_pool_.created();
+  }
+  [[nodiscard]] std::size_t work_pool_parked() const {
+    return work_pool_.parked();
+  }
   [[nodiscard]] std::optional<TxnOutcome> outcome_of(TxnId txn) const;
   [[nodiscard]] const Histogram& client_latency() const { return latency_; }
   [[nodiscard]] std::uint64_t committed_count() const { return committed_; }

@@ -1,8 +1,12 @@
-// Cluster wiring: N metadata servers over one network and one shared
-// storage device, with failure-injection controls.
+// Cluster wiring: N metadata servers over one transport and one shared
+// storage device, with failure-injection controls.  This is the only code
+// that builds MdsNodes; the simulator and the real-time backend (src/rt)
+// differ only in the Env, the Transport, the stats/trace sinks and whether
+// a fencing service exists, all passed in as data.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "acp/config.h"
@@ -36,12 +40,24 @@ struct ClusterConfig {
 
 class Cluster {
  public:
-  /// The cluster stays constructible from a bare Simulator — it owns the
-  /// SimEnv adapter internally, so the dozens of simulation tests and
-  /// benches keep their wiring while every component below runs against
-  /// Env.  (The real-time backend wires MdsNode directly; see src/rt.)
+  /// Where a component's counters and trace events go.
+  struct Sinks {
+    StatsRegistry& stats;
+    TraceRecorder& trace;
+  };
+
+  /// Simulated cluster: owns a SimEnv over `sim`, the Network built from
+  /// `cfg.net`, and the STONITH controller; every node reports into
+  /// `stats` / `trace`.
   Cluster(Simulator& sim, ClusterConfig cfg, StatsRegistry& stats,
           TraceRecorder& trace);
+
+  /// The same nodes over a caller-owned executor and transport (`cfg.net`
+  /// is unused), without a fencing service.  Node i reports into
+  /// `node_sinks[i]`; the shared storage and the cluster's own trace
+  /// events go to `sinks`.  The real-time backend wires this way (src/rt).
+  Cluster(Env& env, Transport& net, ClusterConfig cfg, Sinks sinks,
+          const std::vector<Sinks>& node_sinks);
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -54,12 +70,21 @@ class Cluster {
   }
   [[nodiscard]] AcpEngine& engine(NodeId id) { return node(id).engine(); }
   [[nodiscard]] MetaStore& store(NodeId id) { return node(id).store(); }
-  [[nodiscard]] SharedStorage& storage() { return *storage_; }
-  [[nodiscard]] Network& network() { return *net_; }
+  [[nodiscard]] SharedStorage& storage() { return storage_; }
+  /// The simulated Network (checked: a cluster over a caller's transport
+  /// has none).
+  [[nodiscard]] Network& network() {
+    SIM_CHECK_MSG(net_ != nullptr, "cluster has no simulated network");
+    return *net_;
+  }
   [[nodiscard]] Env& env() { return env_; }
-  [[nodiscard]] StonithController& fencing() { return *fencing_; }
+  /// The STONITH controller (checked: only the simulated cluster fences).
+  [[nodiscard]] StonithController& fencing() {
+    SIM_CHECK_MSG(fencing_ != nullptr, "cluster has no fencing service");
+    return *fencing_;
+  }
   [[nodiscard]] HistoryRecorder* history() {
-    return cfg_.record_history ? &history_ : nullptr;
+    return history_ ? &*history_ : nullptr;
   }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
 
@@ -83,8 +108,8 @@ class Cluster {
                       Duration reboot_after = Duration::zero());
   /// Powers the node back on at now+after (no-op if up or STONITH-held).
   void schedule_reboot(NodeId id, Duration after);
-  void partition_pair(NodeId a, NodeId b) { net_->sever_pair(a, b); }
-  void heal_pair(NodeId a, NodeId b) { net_->heal_pair(a, b); }
+  void partition_pair(NodeId a, NodeId b) { network().sever_pair(a, b); }
+  void heal_pair(NodeId a, NodeId b) { network().heal_pair(a, b); }
   /// Severs a<->b (or only a->b when `asymmetric`) during [from, until).
   /// `until` <= `from` means the partition stays until healed explicitly.
   void schedule_partition(NodeId a, NodeId b, Duration from, Duration until,
@@ -105,15 +130,19 @@ class Cluster {
       const std::vector<ObjectId>& roots) const;
 
  private:
-  Simulator& sim_;
-  SimEnv env_;
+  /// Builds, peers and starts the nodes (and the history recorder, when
+  /// configured); node i reports into sinks[i].
+  void add_nodes(const std::vector<Sinks>& sinks);
+
+  std::optional<SimEnv> sim_env_;  // engaged when built over a Simulator
+  Env& env_;
   ClusterConfig cfg_;
-  StatsRegistry& stats_;
   TraceRecorder& trace_;
-  HistoryRecorder history_;
-  std::unique_ptr<Network> net_;
-  std::unique_ptr<SharedStorage> storage_;
-  std::unique_ptr<StonithController> fencing_;
+  std::optional<HistoryRecorder> history_;  // engaged iff record_history
+  std::unique_ptr<Network> net_;            // simulated cluster only
+  Transport& transport_;
+  SharedStorage storage_;
+  std::unique_ptr<StonithController> fencing_;  // simulated cluster only
   std::vector<std::unique_ptr<MdsNode>> nodes_;
 };
 

@@ -1,11 +1,10 @@
 // Real-time cluster: N MdsNodes on RtEnv workers, one per node.
 //
-// The exact components the simulated Cluster wires — MdsNode, AcpEngine,
-// LogWriter, LockManager, SharedStorage — run unmodified; only the
-// executor (RtEnv) and the fabric (RtTransport) differ.  Each node gets a
-// private StatsRegistry / TraceRecorder and a log partition whose disk
-// model reports into them, so every mutable sink is confined to one worker
-// thread; results are merged after the run goes quiescent.
+// A thin driver over the one cluster wiring (src/cluster/cluster.h): it
+// owns the executor (RtEnv), the fabric (RtTransport) and a private
+// StatsRegistry / TraceRecorder per node, confined to that node's worker
+// and merged once the run is quiescent.  run_storm's closed loop is one
+// PlannedSource (src/workload/source.h) per node, on that node's worker.
 //
 // v1 scope is the quiescent live storm: heartbeats off, fencing absent,
 // no crash injection — the protocols' normal-case paths at real speed.
@@ -13,19 +12,16 @@
 // deterministic and replayable (docs/RUNTIME.md §4).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
-#include "cluster/node.h"
+#include "cluster/cluster.h"
 #include "mds/invariants.h"
 #include "rt/rt_env.h"
 #include "rt/rt_transport.h"
 #include "rt/storm_plan.h"
 #include "stats/histogram.h"
+#include "stats/meter.h"
 
 namespace opc {
 
@@ -66,48 +62,40 @@ class RtCluster {
   StormResult run_storm(const StormPlan& plan, std::uint32_t concurrency,
                         Duration max_wall = Duration::zero());
 
-  [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(nodes_.size());
-  }
-  [[nodiscard]] MdsNode& node(NodeId id) { return *nodes_.at(id.value())->node; }
+  [[nodiscard]] std::uint32_t size() const { return cluster_.size(); }
+  [[nodiscard]] MdsNode& node(NodeId id) { return cluster_.node(id); }
   [[nodiscard]] RtEnv& env() { return env_; }
 
   /// Seeds a directory inode on its home MDS (call before run_storm).
-  void bootstrap_directory(ObjectId dir, NodeId home);
+  void bootstrap_directory(ObjectId dir, NodeId home) {
+    cluster_.bootstrap_directory(dir, home);
+  }
 
-  [[nodiscard]] std::vector<const MetaStore*> stores() const;
+  [[nodiscard]] std::vector<const MetaStore*> stores() const {
+    return cluster_.stores();
+  }
   [[nodiscard]] std::vector<InvariantViolation> check_invariants(
-      const std::vector<ObjectId>& roots) const;
+      const std::vector<ObjectId>& roots) const {
+    return cluster_.check_invariants(roots);
+  }
 
  private:
-  struct PerNode {
+  // One node's sinks, touched only on its worker.
+  struct Sinks {
     StatsRegistry stats;
     TraceRecorder trace{false};
-    std::unique_ptr<MdsNode> node;
-    // Closed-loop state; touched only on this node's worker thread.
-    const std::vector<Transaction>* items = nullptr;
-    std::size_t next = 0;
-    std::uint32_t inflight = 0;
-    bool signaled_done = false;
+    ThroughputMeter meter;  // run_storm's commits
   };
 
-  void pump(std::uint32_t i, std::uint32_t concurrency);
-  void on_completion(std::uint32_t i, std::uint32_t concurrency);
+  std::vector<Cluster::Sinks> node_sinks();
 
-  RtClusterConfig cfg_;
   RtEnv env_;
   RtTransport net_;
-  // Sinks for SharedStorage itself (per-partition disks report into the
-  // owning node's registry via the add_partition overload instead).
+  // SharedStorage's own sinks (each partition reports to its node's).
   StatsRegistry storage_stats_;
   TraceRecorder storage_trace_{false};
-  SharedStorage storage_;
-  std::vector<std::unique_ptr<PerNode>> nodes_;
-
-  std::atomic<bool> stop_issuing_{false};
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  std::uint32_t nodes_done_ = 0;
+  std::vector<Sinks> sinks_;
+  Cluster cluster_;
 };
 
 }  // namespace opc

@@ -78,7 +78,6 @@ void ClosedLoopSource::complete(const Transaction& txn, TxnOutcome outcome,
   } else {
     ++aborted_;
     c_aborted_.add();
-    if (!cfg_.resubmit_aborted) return;
   }
   Duration pause = cfg_.think_time;
   if (retry) pause += cfg_.retry_backoff;
@@ -114,6 +113,48 @@ bool CreateStormSource::make_txn(Transaction& out, bool /*retry*/) {
   }
   out = planner_.plan_create_batch(dir_, entries, counter_);
   return true;
+}
+
+// ---------------------------------------------------------------------------
+
+namespace {
+SourceConfig planned_config(std::uint32_t concurrency) {
+  SourceConfig cfg;
+  cfg.concurrency = concurrency;
+  cfg.retry_backoff = Duration::zero();
+  return cfg;
+}
+}  // namespace
+
+PlannedSource::PlannedSource(Env& env, Cluster& cluster,
+                             std::uint32_t concurrency, ThroughputMeter& meter,
+                             StatsRegistry& stats,
+                             const std::vector<Transaction>& plan)
+    : ClosedLoopSource(env, cluster, planned_config(concurrency), meter,
+                       stats),
+      plan_(plan) {}
+
+void PlannedSource::start(SimTime stop_at) {
+  if (stop_at != SimTime::max()) {
+    deadline_ = env_.schedule_at(stop_at, [this] { stop(); });
+  }
+  ClosedLoopSource::start();
+}
+
+bool PlannedSource::make_txn(Transaction& out, bool /*retry*/) {
+  if (next_ == plan_.size()) return false;
+  out = plan_[next_++];
+  return true;
+}
+
+void PlannedSource::on_outcome(const Transaction& /*txn*/,
+                               TxnOutcome /*outcome*/) {
+  // Runs before the loop refills this slot: the loop has drained for good
+  // only if nothing is in flight and no refill can follow.
+  if (++completed_ == issued() && (stopped() || next_ == plan_.size())) {
+    drained_at_ = env_.now();
+    env_.cancel(deadline_);
+  }
 }
 
 // ---------------------------------------------------------------------------

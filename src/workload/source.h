@@ -28,7 +28,6 @@ struct SourceConfig {
   std::uint64_t max_ops = 0;        // 0 = unbounded (run to deadline)
   Duration think_time = Duration::zero();
   Duration client_timeout = Duration::zero();  // 0 = trust the cluster
-  bool resubmit_aborted = true;
   /// Pause before re-submitting after an abort; keeps failure storms from
   /// degenerating into tight retry loops against a struggling server.
   Duration retry_backoff = Duration::millis(5);
@@ -56,6 +55,7 @@ class ClosedLoopSource {
 
   /// Stops issuing new work; in-flight transactions drain naturally.
   void stop() { stopped_ = true; }
+  [[nodiscard]] bool stopped() const { return stopped_; }
 
   [[nodiscard]] std::uint64_t committed() const { return committed_; }
   [[nodiscard]] std::uint64_t aborted() const { return aborted_; }
@@ -135,6 +135,37 @@ class CreateStormSource final : public ClosedLoopSource {
   std::uint32_t batch_;
   std::vector<NodeId> spread_;
   std::uint64_t counter_ = 0;
+};
+
+/// Closed loop over a pre-planned transaction list (rt/storm_plan.h; it
+/// must outlive the source), handed out in order with `concurrency`
+/// outstanding and no think time or backoff; an aborted item is not
+/// re-issued, its slot takes the next one.  RtCluster::run_storm and the
+/// simulator leg of the sim/rt equivalence test both drive their plans
+/// through it.
+class PlannedSource final : public ClosedLoopSource {
+ public:
+  PlannedSource(Env& env, Cluster& cluster, std::uint32_t concurrency,
+                ThroughputMeter& meter, StatsRegistry& stats,
+                const std::vector<Transaction>& plan);
+
+  /// Starts the loop; at `stop_at` it stops issuing and in-flight work
+  /// drains.
+  void start(SimTime stop_at = SimTime::max());
+
+  /// When the last issued item completed with nothing more to issue.
+  [[nodiscard]] SimTime drained_at() const { return drained_at_; }
+
+ protected:
+  bool make_txn(Transaction& out, bool retry) override;
+  void on_outcome(const Transaction& txn, TxnOutcome outcome) override;
+
+ private:
+  const std::vector<Transaction>& plan_;
+  std::size_t next_ = 0;
+  std::uint64_t completed_ = 0;
+  TimerHandle deadline_;
+  SimTime drained_at_;
 };
 
 /// Open-loop source: namespace operations arrive as a Poisson process at a

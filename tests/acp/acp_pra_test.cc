@@ -3,6 +3,9 @@
 // commit path costs exactly what PrN costs.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "cluster/cluster.h"
 #include "core/timeline.h"
 #include "mds/namespace.h"
@@ -140,6 +143,68 @@ TEST(PresumedAbort, MultiWorkerAbortIsCheaperThanPrN) {
   EXPECT_LT(pra_msgs, prn_msgs)
       << "PrA abort must save the ACK round (PrA=" << pra_msgs
       << " PrN=" << prn_msgs << ")";
+}
+
+// A presumed-abort worker told ABORT drops its state with no log record
+// and no ACK, and must still park its pooled WorkTxn for reuse.  Twenty
+// sequential aborts keep one participation in flight at a time, so the
+// worker's pool may never hold more than one object.
+void expect_aborts_recycle_work(Simulator& sim, Cluster& cluster,
+                                NodeId worker,
+                                const std::function<Transaction(int)>& plan) {
+  for (int i = 0; i < 20; ++i) {
+    TxnOutcome outcome = TxnOutcome::kPending;
+    cluster.submit(plan(i), [&](TxnId, TxnOutcome o) { outcome = o; });
+    sim.run();
+    ASSERT_EQ(outcome, TxnOutcome::kAborted) << "round " << i;
+  }
+  const AcpEngine& e = cluster.engine(worker);
+  EXPECT_EQ(e.active_participations(), 0u);
+  EXPECT_EQ(e.work_pool_created(), 1u);
+  EXPECT_EQ(e.work_pool_parked(), 1u);
+}
+
+TEST(PresumedAbort, RepeatedAbortsRecycleWorkerState) {
+  PraFixture f;
+  // A 100x slower worker disk stretches its PREPARE force past the
+  // coordinator's response timeout, so the prepared worker gets the ABORT.
+  f.cluster->storage().partition(NodeId(1)).device().set_degrade_factor(
+      100.0);
+  expect_aborts_recycle_work(f.sim, *f.cluster, NodeId(1), [&](int i) {
+    return f.planner->plan_create(f.dir, "t" + std::to_string(i),
+                                  f.ids.next(), false);
+  });
+  EXPECT_TRUE(f.cluster->check_invariants({f.dir}).empty());
+}
+
+// 1PC wider than two participants degrades to presumed abort: here node 2
+// vetoes every three-participant create (its inode already exists) and the
+// bystander node 1 receives the silent ABORT.
+TEST(PresumedAbort, DegradedOnePcAbortsRecycleWorkerState) {
+  Simulator sim;
+  StatsRegistry stats;
+  TraceRecorder trace(false);
+  ClusterConfig cc;
+  cc.n_nodes = 3;
+  cc.protocol = ProtocolKind::kOnePC;
+  Cluster cluster(sim, cc, stats, trace);
+  IdAllocator ids;
+  PinnedPartitioner part(3, NodeId(1));
+  const ObjectId dir = ids.next();
+  part.assign(dir, NodeId(0));
+  cluster.bootstrap_directory(dir, NodeId(0));
+  const ObjectId squatter = ids.next();
+  cluster.store(NodeId(2)).bootstrap_inode(Inode{squatter, false, 1, 0});
+  cluster.store(NodeId(0)).bootstrap_dentry(dir, "seed", squatter);
+  NamespacePlanner planner(part, OpCosts{});
+  expect_aborts_recycle_work(sim, cluster, NodeId(1), [&](int i) {
+    const std::string n = std::to_string(i);
+    return planner.plan_create_spread(
+        dir, {{"a" + n, ids.next()}, {"b" + n, squatter}},
+        {NodeId(1), NodeId(2)});
+  });
+  EXPECT_EQ(stats.get("acp.onepc.degraded"), 20);
+  EXPECT_TRUE(cluster.check_invariants({dir}).empty());
 }
 
 }  // namespace

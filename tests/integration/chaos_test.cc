@@ -7,6 +7,8 @@
 // plus codec robustness against arbitrary byte soup.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "cluster/cluster.h"
 #include "mds/namespace.h"
 #include "wal/record.h"
@@ -95,17 +97,22 @@ TEST_P(ChaosTest, MixedWorkloadSurvivesRandomCrashes) {
   EXPECT_GT(source.committed(), 50u) << "progress was made despite crashes";
 }
 
-std::vector<ChaosCase> chaos_cases() {
-  std::vector<ChaosCase> cases;
+// gtest names each case after a byte dump of its parameter, padding
+// included.  A constant-initialised table has zero padding, so the names
+// are the same in every run (cases built on the stack carried garbage).
+constexpr std::array<ChaosCase, 25> chaos_cases() {
+  std::array<ChaosCase, 25> cases{};
+  std::size_t i = 0;
   for (ProtocolKind p : kAllProtocolsExt) {
     for (std::uint64_t seed : {11ull, 22ull, 33ull, 44ull, 55ull}) {
-      cases.push_back({p, seed});
+      cases[i++] = ChaosCase{p, seed};
     }
   }
   return cases;
 }
+constexpr std::array<ChaosCase, 25> kChaosCases = chaos_cases();
 
-INSTANTIATE_TEST_SUITE_P(Sweep, ChaosTest, ::testing::ValuesIn(chaos_cases()),
+INSTANTIATE_TEST_SUITE_P(Sweep, ChaosTest, ::testing::ValuesIn(kChaosCases),
                          [](const auto& info) {
                            return std::string(protocol_name(info.param.proto)) +
                                   "_seed" + std::to_string(info.param.seed);

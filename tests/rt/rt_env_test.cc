@@ -203,5 +203,25 @@ TEST(RtEnvTest, RunStormExportsTimerLateness) {
             res.stats.get("rt.timer.late_p99_ns"));
 }
 
+// run_storm's max_wall stop: at the deadline the loops stop issuing, work
+// already in flight drains, and the call returns with part of the plan
+// committed, nothing aborted and a consistent namespace.
+TEST(RtEnvTest, RunStormStopsAtMaxWall) {
+  RtClusterConfig cfg;
+  // The paper's 400 KB/s log device: ~20 ms per 8 KiB force, so the plan
+  // below would take minutes to drain.
+  cfg.disk.bytes_per_second = 400.0 * 1024.0;
+  RtCluster cluster(cfg);
+  constexpr std::uint32_t kOpsPerNode = 5000;
+  const StormPlan plan = make_storm_plan(cfg.n_nodes, kOpsPerNode);
+  const RtCluster::StormResult res =
+      cluster.run_storm(plan, 4, Duration::millis(200));
+  EXPECT_GT(res.committed, 0u);
+  EXPECT_LT(res.committed, std::uint64_t{cfg.n_nodes} * kOpsPerNode);
+  EXPECT_EQ(res.aborted, 0u);
+  EXPECT_GE(res.wall_seconds, 0.2) << "in-flight work drains after the stop";
+  EXPECT_TRUE(cluster.check_invariants(plan.dirs).empty());
+}
+
 }  // namespace
 }  // namespace opc

@@ -5,11 +5,12 @@
 // participant set up front (storm_plan.h), so the final state is a pure
 // function of the plan, not of timing; only timing-dependent measurements
 // (latency, wall clock, retry counters) are excluded from the comparison
-// (docs/RUNTIME.md §5).
+// (docs/RUNTIME.md §5).  Both legs drive the plan through the same closed
+// loop, PlannedSource (src/workload/source.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "rt/rt_cluster.h"
 #include "rt/storm_plan.h"
 #include "sim/simulator.h"
+#include "workload/source.h"
 
 namespace opc {
 namespace {
@@ -59,25 +61,16 @@ Outcome run_on_sim(ProtocolKind proto, const StormPlan& plan) {
     cluster.bootstrap_directory(plan.dirs[i], NodeId(i));
   }
 
-  // The same closed loop RtCluster runs, on virtual time: `kConcurrency`
-  // outstanding per node, refilled from each completion callback.
-  struct Loop {
-    std::size_t next = 0;
-    std::uint32_t inflight = 0;
-  };
-  std::vector<Loop> loops(plan.n_nodes);
-  std::function<void(std::uint32_t)> pump = [&](std::uint32_t i) {
-    Loop& lp = loops[i];
-    while (lp.inflight < kConcurrency && lp.next < plan.per_node[i].size()) {
-      ++lp.inflight;
-      Transaction txn = plan.per_node[i][lp.next++];
-      cluster.submit(std::move(txn), [&pump, &loops, i](TxnId, TxnOutcome) {
-        --loops[i].inflight;
-        pump(i);
-      });
-    }
-  };
-  for (std::uint32_t i = 0; i < plan.n_nodes; ++i) pump(i);
+  // The closed loop RtCluster runs, on virtual time: one PlannedSource per
+  // node with `kConcurrency` outstanding.
+  ThroughputMeter meter;
+  std::vector<std::unique_ptr<PlannedSource>> sources;
+  for (std::uint32_t i = 0; i < plan.n_nodes; ++i) {
+    sources.push_back(std::make_unique<PlannedSource>(
+        cluster.env(), cluster, kConcurrency, meter, stats,
+        plan.per_node[i]));
+    sources.back()->start();
+  }
   sim.run();
 
   Outcome out;
