@@ -22,31 +22,37 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One measured region: runs `body` (which returns the number of kernel
-/// events it dispatched) repeatedly until ~0.4 s of wall clock accumulates,
-/// then reports the aggregate rates.  Smoke mode runs the body exactly once
-/// — the point is executing the code path, not a stable number.
+/// One measured region.  Rates: runs `body` (which returns the number of
+/// kernel events it dispatched) repeatedly until ~0.4 s of wall clock
+/// accumulates.  Allocations: counted over one call of `fixed_work` (default
+/// `body`), a fixed amount of work, so allocs/event does not depend on how
+/// many bodies fit in the wall-clock window.  Smoke mode runs each once —
+/// the point is executing the code path, not a stable number.
 BenchSample measure(const std::string& name, bool smoke,
-                    const std::function<std::uint64_t()>& body) {
+                    const std::function<std::uint64_t()>& body,
+                    const std::function<std::uint64_t()>& fixed_work = {}) {
   BenchSample s;
   s.name = name;
   const double min_wall = smoke ? 0.0 : 0.4;
   // Untimed warm-up pass: first-touch page faults and lazy init land here.
   if (!smoke) body();
   const std::uint64_t allocs0 = allocation_count();
+  const std::uint64_t fixed_events = fixed_work ? fixed_work() : body();
+  const std::uint64_t allocs = allocation_count() - allocs0;
+  if (fixed_events > 0) {
+    s.allocs_per_event =
+        static_cast<double>(allocs) / static_cast<double>(fixed_events);
+  }
   const Clock::time_point t0 = Clock::now();
   double elapsed = 0;
   do {
     s.events += body();
     elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
   } while (elapsed < min_wall);
-  const std::uint64_t allocs = allocation_count() - allocs0;
   s.wall_seconds = elapsed;
   if (s.events > 0 && elapsed > 0) {
     s.events_per_sec = static_cast<double>(s.events) / elapsed;
     s.ns_per_event = elapsed * 1e9 / static_cast<double>(s.events);
-    s.allocs_per_event =
-        static_cast<double>(allocs) / static_cast<double>(s.events);
   }
   return s;
 }
@@ -241,21 +247,34 @@ std::vector<BenchSample> run_kernel_report(const ReportOptions& opt) {
   // fixture would decelerate instead of reaching a steady state.  Recycling
   // the fixture every few windows bounds directory size; the reconstruction
   // cost lands inside the measured region and amortizes to well under one
-  // alloc per event.
+  // alloc per event.  Allocations are counted over exactly one such cycle
+  // from a fresh fixture: how far into a cycle the wall-clock loop stops
+  // depends on host speed, and per-window allocs vary with directory size.
   constexpr int kRecycleWindows = 16;
   for (const auto& cfg : kStorms) {
     auto fx = std::make_unique<StormFixture>(cfg.proto, cfg.participants);
     int windows = 0;
     double sim_ops = 0;
+    const auto one_cycle = [&cfg, window] {
+      StormFixture fresh(cfg.proto, cfg.participants);
+      std::uint64_t events = 0;
+      for (int w = 0; w < kRecycleWindows; ++w) {
+        events += fresh.step(window, nullptr);
+      }
+      return events;
+    };
     BenchSample storm =
-        measure(cfg.name, opt.smoke, [&cfg, &fx, &windows, window, &sim_ops] {
-          if (windows == kRecycleWindows) {
-            fx = std::make_unique<StormFixture>(cfg.proto, cfg.participants);
-            windows = 0;
-          }
-          ++windows;
-          return fx->step(window, &sim_ops);
-        });
+        measure(cfg.name, opt.smoke,
+                [&cfg, &fx, &windows, window, &sim_ops] {
+                  if (windows == kRecycleWindows) {
+                    fx = std::make_unique<StormFixture>(cfg.proto,
+                                                        cfg.participants);
+                    windows = 0;
+                  }
+                  ++windows;
+                  return fx->step(window, &sim_ops);
+                },
+                one_cycle);
     storm.sim_ops_per_sec = sim_ops;
     out.push_back(storm);
   }

@@ -10,16 +10,26 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <ctime>
 #include <thread>
 
 namespace opc::rpc {
-namespace {
 
 double wall_now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+namespace {
+
+/// A positive wait in seconds as a timespec, to the nanosecond.
+timespec to_timespec(double seconds) {
+  const double whole = std::floor(seconds);
+  return {static_cast<std::time_t>(whole),
+          static_cast<long>((seconds - whole) * 1e9)};
 }
 
 bool set_nonblocking(int fd) {
@@ -221,12 +231,14 @@ bool RpcClient::pump(bool want_reply, double timeout_s) {
     const double left = deadline - wall_now();
     if (left <= 0) return false;
 
+    // ppoll, not poll: poll takes whole milliseconds, so a 0.3 ms wait
+    // would sleep a full 1 ms and every open-loop send would leave late.
     pollfd p{fd_, POLLIN, 0};
     if (wr_.unread() > 0) p.events |= POLLOUT;
-    const int timeout_ms = static_cast<int>(left * 1000) + 1;
-    const int rc = ::poll(&p, 1, timeout_ms);
+    const timespec wait = to_timespec(left);
+    const int rc = ::ppoll(&p, 1, &wait, nullptr);
     if (rc < 0 && errno != EINTR) {
-      fail(std::string("poll: ") + std::strerror(errno));
+      fail(std::string("ppoll: ") + std::strerror(errno));
       return false;
     }
   }

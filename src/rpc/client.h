@@ -9,7 +9,9 @@
 //     server-completion order (NOT send order: requests land on different
 //     node workers, so completions interleave).  Callers correlate by id.
 //
-// All sockets are nonblocking; waits are poll()-based with deadlines.  A
+// All sockets are nonblocking; waits are ppoll()-based and end at their
+// deadline to the nanosecond, plus the calling thread's timer slack (the
+// caller owns that setting; the client never changes it).  A
 // transport error (peer reset, corrupt frame, EOF with outstanding
 // requests) marks the client broken — `error()` says why, every later call
 // fails fast.
@@ -24,6 +26,9 @@
 #include "sim/time.h"
 
 namespace opc::rpc {
+
+/// Steady-clock seconds: the clock every RpcClient deadline is kept on.
+[[nodiscard]] double wall_now();
 
 class RpcClient {
  public:

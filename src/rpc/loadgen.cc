@@ -1,7 +1,8 @@
 #include "rpc/loadgen.h"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <thread>
 #include <unordered_map>
@@ -13,12 +14,6 @@
 
 namespace opc::rpc {
 namespace {
-
-double wall_now() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Zipf(s) sampler over 1..n via a precomputed CDF + binary search.
 class ZipfPicker {
@@ -56,6 +51,10 @@ struct ThreadResult {
 
 void worker(const LoadgenConfig& cfg, std::uint32_t t, double start,
             ThreadResult* out) {
+  // A normal thread's timed waits overshoot by its timer slack, 50 us by
+  // default, and every such overshoot delays a send past its schedule.
+  // 1 ns is the least the kernel accepts (0 means "reset to the default").
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   LoadgenResult& res = out->r;
   RpcClient client;
   const bool connected =
@@ -131,6 +130,7 @@ void worker(const LoadgenConfig& cfg, std::uint32_t t, double start,
       continue;
     }
 
+    const double send_at = wall_now();
     const double u = rng.uniform01() * w_total;
     const std::uint64_t dir = zipf.pick(rng.uniform01());
     std::uint64_t id = 0;
@@ -163,6 +163,7 @@ void worker(const LoadgenConfig& cfg, std::uint32_t t, double start,
       }
     }
     ++res.sent;
+    res.late.record((send_at - pr.scheduled) * 1e9);
     pending.emplace(id, std::move(pr));
     if (!client.flush(/*timeout_s=*/1.0) && client.broken()) broken = true;
   }
@@ -220,6 +221,7 @@ LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
     total.lost += s.r.lost;
     total.transport_errors += s.r.transport_errors;
     total.latency.merge(s.r.latency);
+    total.late.merge(s.r.late);
     if (total.error.empty() && !s.r.error.empty()) total.error = s.r.error;
   }
   total.offered_rate = c.rate;

@@ -6,7 +6,10 @@
 // time, so queueing delay inside the generator (and the server pushing
 // back) shows up in the tail instead of being silently omitted — the
 // coordinated-omission trap a closed-loop generator falls into
-// (docs/SERVING.md §5).
+// (docs/SERVING.md §5).  So the schedule itself must hold: the client's
+// waits end at the arrival time to the nanosecond, generator threads run
+// at 1 ns timer slack, and `late` reports how far behind schedule each
+// request was sent.
 //
 // Workload shape: a create/mkdir/rename mix over hot directories 1..n_dirs
 // with optional Zipf(s) skew.  Renames only touch names whose create has
@@ -68,6 +71,7 @@ struct LoadgenResult {
   std::uint64_t lost = 0;       // sent but never answered
   std::uint64_t transport_errors = 0;  // threads that hit a socket error
   Histogram latency;            // ns, scheduled-arrival -> reply, ok+aborted
+  Histogram late;               // ns, scheduled-arrival -> send, every send
   double offered_rate = 0.0;
   double achieved_rate = 0.0;   // answered (ok+aborted) per wall second
   double wall_seconds = 0.0;

@@ -741,9 +741,9 @@ int cmd_loadgen(const Args& a) {
 
   TextTable table({"offered_rate", "achieved_rate", "sent", "ok", "aborted",
                    "busy", "errors", "lost", "p50_ms", "p95_ms", "p99_ms",
-                   "p999_ms"});
-  const auto ms = [&res](double q) {
-    return TextTable::num(res.latency.quantile_duration(q).to_millis_f(), 3);
+                   "p999_ms", "late_p50_ms", "late_p99_ms"});
+  const auto ms = [](const Histogram& h, double q) {
+    return TextTable::num(h.quantile_duration(q).to_millis_f(), 3);
   };
   table.add_row({TextTable::num(res.offered_rate, 0),
                  TextTable::num(res.achieved_rate, 0),
@@ -752,8 +752,10 @@ int cmd_loadgen(const Args& a) {
                  std::to_string(res.not_found + res.bad_request +
                                 res.timeouts + res.shutdown +
                                 res.transport_errors),
-                 std::to_string(res.lost), ms(0.5), ms(0.95), ms(0.99),
-                 ms(0.999)});
+                 std::to_string(res.lost), ms(res.latency, 0.5),
+                 ms(res.latency, 0.95), ms(res.latency, 0.99),
+                 ms(res.latency, 0.999), ms(res.late, 0.5),
+                 ms(res.late, 0.99)});
   std::fputs(cf.csv ? table.render_csv().c_str() : table.render().c_str(),
              stdout);
 
@@ -771,6 +773,10 @@ int cmd_loadgen(const Args& a) {
     stats.set("loadgen.skipped", static_cast<std::int64_t>(res.skipped));
     stats.set("loadgen.transport_errors",
               static_cast<std::int64_t>(res.transport_errors));
+    stats.set("loadgen.late_p50_us",
+              static_cast<std::int64_t>(res.late.quantile(0.5) * 1e-3));
+    stats.set("loadgen.late_p99_us",
+              static_cast<std::int64_t>(res.late.quantile(0.99) * 1e-3));
     obs::ReportInputs in;
     in.meta.protocol = std::string(protocol_name(cf.protocols[0]));
     in.meta.workload = "loadgen";
