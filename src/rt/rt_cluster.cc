@@ -75,8 +75,15 @@ RtCluster::StormResult RtCluster::run_storm(const StormPlan& plan,
   }
   const double wall = (drained - t0).to_seconds_f();
 
-  StormResult res;
+  StormResult res = fold_results();
   res.wall_seconds = wall;
+  res.ops_per_second =
+      wall > 0.0 ? static_cast<double>(res.committed) / wall : 0.0;
+  return res;
+}
+
+RtCluster::StormResult RtCluster::fold_results() {
+  StormResult res;
   for (std::uint32_t i = 0; i < size(); ++i) {
     const AcpEngine& eng = cluster_.engine(NodeId(i));
     res.committed += eng.committed_count();
@@ -92,8 +99,7 @@ RtCluster::StormResult RtCluster::run_storm(const StormPlan& plan,
                 static_cast<std::int64_t>(late.quantile(0.5)));
   res.stats.set("rt.timer.late_p99_ns",
                 static_cast<std::int64_t>(late.quantile(0.99)));
-  res.ops_per_second =
-      wall > 0.0 ? static_cast<double>(res.committed) / wall : 0.0;
+  res.stats.set("rt.timer.spin_ns", env_.spin_nanos());
   return res;
 }
 

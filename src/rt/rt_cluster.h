@@ -49,7 +49,7 @@ class RtCluster {
     Histogram latency;    // client-visible commit latency, merged
     // All nodes + transport, merged, plus the workers' dispatch lateness
     // (RtEnv::dispatch_lateness): rt.timer.fired, rt.timer.late_p50_ns,
-    // rt.timer.late_p99_ns.
+    // rt.timer.late_p99_ns, and their spin time, rt.timer.spin_ns.
     StatsRegistry stats;
     double wall_seconds = 0.0;
     double ops_per_second = 0.0;
@@ -61,6 +61,12 @@ class RtCluster {
   /// the cluster is quiescent.  Call at most once per RtCluster.
   StormResult run_storm(const StormPlan& plan, std::uint32_t concurrency,
                         Duration max_wall = Duration::zero());
+
+  /// Folds every node's engine results and sinks, the transport's counters
+  /// and the executor's rt.timer.* gauges into one StormResult
+  /// (wall_seconds and ops_per_second stay 0).  Call only while the env is
+  /// quiescent (after env().wait_idle()).
+  [[nodiscard]] StormResult fold_results();
 
   [[nodiscard]] std::uint32_t size() const { return cluster_.size(); }
   [[nodiscard]] MdsNode& node(NodeId id) { return cluster_.node(id); }

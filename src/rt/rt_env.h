@@ -6,7 +6,9 @@
 // scheme as the simulator kernel) and executes callbacks strictly one at a
 // time, so every component wired to a single node — engine, WAL, lock
 // manager, disk model — keeps the simulator's run-to-completion,
-// single-threaded execution model without any code change.  Cross-node
+// single-threaded execution model without any code change.  A timed wait
+// sleeps until shortly before its deadline and spins out the rest, so
+// microsecond-scale modeled delays do not pay a futex wake-up.  Cross-node
 // concurrency is real: workers run in parallel and interact only through
 // the Transport (src/rt/rt_transport.h) and explicit cross-thread
 // schedule_on / post calls.
@@ -85,6 +87,10 @@ class RtEnv final : public Env {
   /// the env is quiescent (after wait_idle() or stop()).
   [[nodiscard]] Histogram dispatch_lateness() const;
 
+  /// Nanoseconds the workers spent spinning out the last stretch of their
+  /// timed waits (docs/RUNTIME.md §4), summed over workers.
+  [[nodiscard]] std::int64_t spin_nanos() const;
+
  private:
   // A worker-slot address packs into TimerHandle::slot(): worker index in
   // the high byte, slot index in the low 24 bits.
@@ -117,8 +123,11 @@ class RtEnv final : public Env {
     std::vector<Slot> slots;
     std::uint32_t free_head = kNilSlot;
     std::vector<Entry> heap;  // min-heap via std::push_heap/EntryLater
-    std::uint64_t next_seq = 0;
+    // Bumped by every arm() under `mu`; a worker spinning without `mu`
+    // watches it to learn that something new was armed.
+    std::atomic<std::uint64_t> next_seq{0};
     bool stopping = false;
+    std::int64_t spin_ns = 0;  // guarded by `mu`
     Rng rng;
     Histogram lateness;  // ns past `when_ns`; touched only by the worker
     std::thread thread;

@@ -6,7 +6,11 @@
 // The binary path is injected by CMake as OPC_BIN.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -106,6 +110,32 @@ TEST(CliSmoke, RtstormPrintsTimerLateness) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("timer_late_p50_ns"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("timer_late_p99_ns"), std::string::npos) << r.output;
+}
+
+TEST(CliSmoke, ServeReportsTimerLatenessAndNodeCounters) {
+  // `opc serve`'s shutdown summary carries the workers' wake-up accuracy,
+  // and its report the per-node acp/wal/lock counters next to rpc.*.
+  const std::string base = "/tmp/opc-cli-serve-" + std::to_string(::getpid());
+  const std::string sock = base + ".sock";
+  const std::string report = base + ".json";
+  const RunResult r = run(
+      "serve --protocol 1pc --nodes 3 --uds " + sock +
+      " --duration 2s --report " + report + " & SRV=$!; " + OPC_BIN +
+      " loadgen --uds " + sock + " --rate 300 --duration 500ms --threads 1;"
+      " RC=$?; wait $SRV || RC=$((RC + 100)); exit $RC");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("timer_late_p50_ns"), std::string::npos) << r.output;
+  std::ifstream in(report);
+  std::stringstream json;
+  json << in.rdbuf();
+  for (const char* key : {"\"acp.committed\"", "\"wal.force.count\"",
+                          "\"lock.releases\"", "\"rpc.requests\"",
+                          "\"rt.timer.late_p50_ns\"", "\"rt.timer.spin_ns\""}) {
+    EXPECT_NE(json.str().find(key), std::string::npos)
+        << key << " missing from the serve report:\n"
+        << json.str();
+  }
+  std::remove(report.c_str());
 }
 
 }  // namespace

@@ -88,6 +88,30 @@ TEST(RpcE2E, TenThousandOpsOverUdsZeroLost) {
     dentries += s->stable_dentry_count();
   }
   EXPECT_EQ(dentries, kOps);
+
+  // Host-independent served counts, so a timing change that adds a hidden
+  // message or force fails here.  A 1PC create is local (inode minted on
+  // the directory's node: no message, one force) or distributed (three
+  // messages; two critical forces and one lazy).  Which one a request
+  // gets depends on how the workers interleave on the shared inode
+  // counter, so the per-transaction ratios drift with timing while the
+  // per-kind costs are exact.  Measured over 15 runs before timed waits
+  // spun out their last stretch: msgs/txn 2.13-2.38, forces/txn 2.42-2.59
+  // (after, 11 runs: 2.10-2.31 and 2.40-2.54), no aborts.
+  const RtCluster::StormResult folded = cluster.fold_results();
+  ASSERT_EQ(folded.committed, kOps);
+  const std::int64_t txns = static_cast<std::int64_t>(folded.committed);
+  const std::int64_t local = folded.stats.get("acp.local");
+  const std::int64_t msgs = folded.stats.get("acp.msg.total");
+  const std::int64_t forces = folded.stats.get("wal.force.count");
+  EXPECT_EQ(msgs, 3 * (txns - local));
+  EXPECT_EQ(forces, txns + 2 * (txns - local));
+  const double per_txn = static_cast<double>(txns);
+  EXPECT_GE(static_cast<double>(msgs) / per_txn, 1.8);
+  EXPECT_LE(static_cast<double>(msgs) / per_txn, 2.7);
+  EXPECT_GE(static_cast<double>(forces) / per_txn, 2.2);
+  EXPECT_LE(static_cast<double>(forces) / per_txn, 2.8);
+  EXPECT_EQ(folded.aborted, 0u) << "fail share must stay 0";
 }
 
 // Wide creates over the wire (ISSUE 10): kCreateSpread requests plan one

@@ -664,29 +664,24 @@ int cmd_serve(const Args& a) {
   server.stop();
   cluster.env().wait_idle();
 
-  // Quiescent now: fold per-node engine results and server counters.
-  Histogram latency;
-  std::uint64_t committed = 0;
-  std::uint64_t aborted = 0;
-  for (std::uint32_t i = 0; i < cfg.n_nodes; ++i) {
-    AcpEngine& e = cluster.node(NodeId(i)).engine();
-    latency.merge(e.client_latency());
-    committed += e.committed_count();
-    aborted += e.aborted_count();
-  }
-  StatsRegistry stats;
-  server.export_stats(stats);
+  // Quiescent now: fold the nodes' results (acp, wal, lock, rt.timer) and
+  // the server's counters.
+  RtCluster::StormResult res = cluster.fold_results();
+  server.export_stats(res.stats);
 
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   TextTable table({"protocol", "committed", "aborted", "busy_shed",
-                   "p50_latency_ms", "p99_latency_ms", "wall_seconds"});
+                   "p50_latency_ms", "p99_latency_ms", "timer_late_p50_ns",
+                   "wall_seconds"});
   table.add_row(
-      {std::string(protocol_name(cfg.protocol)), std::to_string(committed),
-       std::to_string(aborted), std::to_string(server.busy_count()),
-       TextTable::num(latency.quantile_duration(0.5).to_millis_f(), 2),
-       TextTable::num(latency.quantile_duration(0.99).to_millis_f(), 2),
+      {std::string(protocol_name(cfg.protocol)),
+       std::to_string(res.committed), std::to_string(res.aborted),
+       std::to_string(server.busy_count()),
+       TextTable::num(res.latency.quantile_duration(0.5).to_millis_f(), 2),
+       TextTable::num(res.latency.quantile_duration(0.99).to_millis_f(), 2),
+       std::to_string(res.stats.get("rt.timer.late_p50_ns")),
        TextTable::num(wall, 3)});
   std::fputs(cf.csv ? table.render_csv().c_str() : table.render().c_str(),
              stdout);
@@ -698,11 +693,13 @@ int cmd_serve(const Args& a) {
     in.meta.seed = cfg.seed;
     in.meta.nodes = static_cast<int>(cfg.n_nodes);
     in.meta.sim_duration_ns = static_cast<std::int64_t>(wall * 1e9);
-    in.stats = &stats;
-    in.latency = &latency;
-    in.committed = static_cast<std::int64_t>(committed);
-    in.aborted = static_cast<std::int64_t>(aborted);
-    in.ops_per_second = wall > 0 ? (committed + aborted) / wall : 0.0;
+    in.stats = &res.stats;
+    in.latency = &res.latency;
+    in.committed = static_cast<std::int64_t>(res.committed);
+    in.aborted = static_cast<std::int64_t>(res.aborted);
+    in.ops_per_second =
+        wall > 0 ? static_cast<double>(res.committed + res.aborted) / wall
+                 : 0.0;
     if (!write_file(cf.report, obs::report_to_json(obs::build_report(in)))) {
       return 2;
     }
