@@ -1,6 +1,8 @@
 #include "mds/store.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "sim/check.h"
 
@@ -8,6 +10,22 @@ namespace opc {
 namespace {
 const std::vector<Operation> kNoOps;
 constexpr std::size_t kMaxPooledOps = 32;
+
+/// 64-bit hash of a whole dentry name.  Names arrive from the wire, so
+/// every byte feeds the state (eight at a time), and FlatHash's splitmix64
+/// finalizer spreads the result over the low bits the index masks.
+std::uint64_t name_hash(std::string_view name) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull ^ name.size();
+  std::size_t i = 0;
+  for (; i + 8 <= name.size(); i += 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, name.data() + i, 8);
+    h = std::rotl((h ^ w) * 0xbf58476d1ce4e5b9ull, 31);
+  }
+  std::uint64_t tail = 0;
+  if (i < name.size()) std::memcpy(&tail, name.data() + i, name.size() - i);
+  return FlatHash{}(h ^ tail);
+}
 }  // namespace
 
 const char* store_status_name(StoreStatus s) {
@@ -27,65 +45,86 @@ const char* store_status_name(StoreStatus s) {
 
 // --- DentryTable -----------------------------------------------------------
 
-MetaStore::DentryTable::Entries::const_iterator
-MetaStore::DentryTable::lower_bound(const Entries& es, std::string_view name) {
-  return std::lower_bound(
-      es.begin(), es.end(), name,
-      [](const std::pair<std::string, ObjectId>& e, std::string_view n) {
-        return e.first < n;
-      });
+std::size_t MetaStore::DentryTable::probe(const Dir& d,
+                                         std::string_view name) {
+  const std::size_t mask = d.slots.size() - 1;
+  std::size_t i = name_hash(name) & mask;
+  while (d.slots[i] != kFree && d.entries[d.slots[i]].first != name) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void MetaStore::DentryTable::grow(Dir& d) {
+  const std::size_t cap = d.slots.empty() ? 8 : d.slots.size() * 2;
+  d.slots.assign(cap, kFree);
+  for (std::size_t pos = 0; pos < d.entries.size(); ++pos) {
+    d.slots[probe(d, d.entries[pos].first)] = static_cast<std::uint32_t>(pos);
+  }
+}
+
+std::pair<ObjectId*, bool> MetaStore::DentryTable::try_emplace(
+    ObjectId dir, const std::string& name, ObjectId child) {
+  Dir& d = dirs_[dir.value()];
+  // Keep the load at most 1/2 after this insert; also sizes a new index.
+  if ((d.entries.size() + 1) * 2 > d.slots.size()) grow(d);
+  const std::size_t slot = probe(d, name);
+  if (d.slots[slot] != kFree) return {&d.entries[d.slots[slot]].second, false};
+  SIM_CHECK(d.entries.size() < kFree);
+  d.slots[slot] = static_cast<std::uint32_t>(d.entries.size());
+  d.entries.emplace_back(name, child);
+  ++size_;
+  return {&d.entries.back().second, true};
 }
 
 const ObjectId* MetaStore::DentryTable::find(ObjectId dir,
                                              std::string_view name) const {
-  const Entries* es = dirs_.find(dir.value());
-  if (es == nullptr) return nullptr;
-  auto it = lower_bound(*es, name);
-  if (it == es->end() || it->first != name) return nullptr;
-  return &it->second;
-}
-
-bool MetaStore::DentryTable::insert(ObjectId dir, const std::string& name,
-                                    ObjectId child) {
-  Entries& es = dirs_[dir.value()];
-  auto it = lower_bound(es, name);
-  if (it != es.end() && it->first == name) return false;
-  es.emplace(it, name, child);
-  ++size_;
-  return true;
+  const Dir* d = dirs_.find(dir.value());
+  if (d == nullptr) return nullptr;
+  const std::uint32_t pos = d->slots[probe(*d, name)];
+  return pos == kFree ? nullptr : &d->entries[pos].second;
 }
 
 bool MetaStore::DentryTable::erase(ObjectId dir, std::string_view name) {
-  Entries* es = dirs_.find(dir.value());
-  if (es == nullptr) return false;
-  auto it = lower_bound(*es, name);
-  if (it == es->end() || it->first != name) return false;
-  es->erase(it);
+  Dir* d = dirs_.find(dir.value());
+  if (d == nullptr) return false;
+  const std::size_t mask = d->slots.size() - 1;
+  std::size_t hole = probe(*d, name);
+  const std::uint32_t pos = d->slots[hole];
+  if (pos == kFree) return false;
+  // Backward shift: walk the probe chain after the hole and move back any
+  // position whose ideal slot does not lie strictly after the hole.
+  d->slots[hole] = kFree;
+  for (std::size_t j = (hole + 1) & mask; d->slots[j] != kFree;
+       j = (j + 1) & mask) {
+    const std::size_t ideal = name_hash(d->entries[d->slots[j]].first) & mask;
+    if (((j - ideal) & mask) >= ((j - hole) & mask)) {
+      d->slots[hole] = d->slots[j];
+      d->slots[j] = kFree;
+      hole = j;
+    }
+  }
+  // Fill the entry hole with the last entry and repoint its slot.
+  const auto last = static_cast<std::uint32_t>(d->entries.size() - 1);
+  if (pos != last) {
+    d->slots[probe(*d, d->entries[last].first)] = pos;
+    d->entries[pos] = std::move(d->entries[last]);
+  }
+  d->entries.pop_back();
   --size_;
-  if (es->empty()) dirs_.erase(dir.value());
+  if (d->entries.empty()) dirs_.erase(dir.value());
   return true;
 }
 
-void MetaStore::DentryTable::upsert(ObjectId dir, const std::string& name,
-                                    ObjectId child) {
-  Entries& es = dirs_[dir.value()];
-  auto it = lower_bound(es, name);
-  if (it != es.end() && it->first == name) {
-    es[static_cast<std::size_t>(it - es.begin())].second = child;
-    return;
-  }
-  es.emplace(it, name, child);
-  ++size_;
-}
-
 std::size_t MetaStore::DentryTable::entry_count(ObjectId dir) const {
-  const Entries* es = dirs_.find(dir.value());
-  return es == nullptr ? 0 : es->size();
+  const Dir* d = dirs_.find(dir.value());
+  return d == nullptr ? 0 : d->entries.size();
 }
 
 const MetaStore::DentryTable::Entries* MetaStore::DentryTable::entries(
     ObjectId dir) const {
-  return dirs_.find(dir.value());
+  const Dir* d = dirs_.find(dir.value());
+  return d == nullptr ? nullptr : &d->entries;
 }
 
 void MetaStore::DentryTable::clear() {
@@ -117,7 +156,10 @@ std::vector<std::pair<std::string, ObjectId>> MetaStore::mem_list_dir(
     ObjectId dir) const {
   const auto* es = mem_dentries_.entries(dir);
   if (es == nullptr) return {};
-  return *es;  // already name-sorted
+  std::vector<std::pair<std::string, ObjectId>> out = *es;
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
 }
 
 std::optional<Inode> MetaStore::effective_inode(TxnId txn, ObjectId id) const {

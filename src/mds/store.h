@@ -24,10 +24,14 @@
 // replay a committed transaction exactly once no matter how often it is
 // re-driven.
 //
-// Hot-path memory: the four metadata tables are open-addressing FlatMaps
-// (dentries grouped per directory as name-sorted vectors), and the
-// per-transaction op vectors are recycled through a shell pool, so the
-// steady-state apply/commit cycle allocates only when a table doubles.
+// Hot-path memory: the four metadata tables are open-addressing FlatMaps,
+// and the per-transaction op vectors are recycled through a shell pool, so
+// the steady-state apply/commit cycle allocates only when a table doubles.
+// Dentries are grouped per directory, each directory an unordered entry
+// vector with its own open-addressing index over entry positions, so a
+// create or unlink in a directory of any size is O(1) expected.  Name order
+// is produced only where it is promised, by sorting at the cold sites:
+// readdir (mem_list_dir) and the stable_dentries() dump.
 #pragma once
 
 #include <cstdint>
@@ -114,7 +118,8 @@ class MetaStore {
   [[nodiscard]] std::optional<Inode> mem_inode(ObjectId id) const;
   [[nodiscard]] std::optional<ObjectId> mem_lookup(
       ObjectId dir, const std::string& name) const;
-  /// All current entries of a directory, name-ordered (readdir).
+  /// All current entries of a directory, name-ordered (readdir; sorts a
+  /// copy, so it costs O(n log n) in the directory's size).
   [[nodiscard]] std::vector<std::pair<std::string, ObjectId>> mem_list_dir(
       ObjectId dir) const;
 
@@ -157,8 +162,12 @@ class MetaStore {
   using InodeTable = FlatMap<std::uint64_t, Inode>;
 
   /// Dentries grouped per directory: a flat table keyed by directory id
-  /// whose values are name-sorted entry vectors.  Lookup is a hash probe
-  /// plus a binary search; readdir is a copy of an already-sorted vector.
+  /// whose values hold that directory's entries in no particular order
+  /// plus an open-addressing index of their positions (linear probing on a
+  /// 64-bit hash of the whole name, load at most 1/2, backward-shift
+  /// deletion as in FlatMap).  Erase fills the hole with the last entry.
+  /// find/insert/erase/upsert are O(1) expected, independent of how many
+  /// names the directory holds; nothing here is name-ordered.
   class DentryTable {
    public:
     using Entries = std::vector<std::pair<std::string, ObjectId>>;
@@ -168,28 +177,53 @@ class MetaStore {
     [[nodiscard]] const ObjectId* find(ObjectId dir,
                                        std::string_view name) const;
     /// False (and no change) if the name already exists in dir.
-    bool insert(ObjectId dir, const std::string& name, ObjectId child);
+    bool insert(ObjectId dir, const std::string& name, ObjectId child) {
+      return try_emplace(dir, name, child).second;
+    }
     bool erase(ObjectId dir, std::string_view name);
     /// Insert-or-overwrite (bootstrap semantics).
-    void upsert(ObjectId dir, const std::string& name, ObjectId child);
+    void upsert(ObjectId dir, const std::string& name, ObjectId child) {
+      *try_emplace(dir, name, child).first = child;
+    }
     [[nodiscard]] std::size_t entry_count(ObjectId dir) const;
-    /// Name-sorted entries of one directory, or nullptr if it has none.
+    /// Entries of one directory in unspecified order, or nullptr if it has
+    /// none.
     [[nodiscard]] const Entries* entries(ObjectId dir) const;
     void clear();
     void clone_from(const DentryTable& o);
-    /// Visits (dir, name, child) in hash order; callers sort if they need
-    /// a deterministic dump.
+    /// Visits (dir, name, child) in unspecified order; callers sort if they
+    /// need a deterministic dump.
     template <class F>
     void for_each_entry(F&& fn) const {
-      dirs_.for_each([&fn](const std::uint64_t& dir, const Entries& es) {
-        for (const auto& [name, child] : es) fn(ObjectId(dir), name, child);
+      dirs_.for_each([&fn](const std::uint64_t& dir, const Dir& d) {
+        for (const auto& [name, child] : d.entries) {
+          fn(ObjectId(dir), name, child);
+        }
       });
     }
 
    private:
-    [[nodiscard]] static Entries::const_iterator lower_bound(
-        const Entries& es, std::string_view name);
-    FlatMap<std::uint64_t, Entries> dirs_;
+    static constexpr std::uint32_t kFree = UINT32_MAX;
+
+    struct Dir {
+      Entries entries;
+      /// Positions into `entries`, kFree where unused; a power of two in
+      /// size, at least twice entries.size().
+      std::vector<std::uint32_t> slots;
+    };
+
+    /// The slot holding `name`, or the free slot where it belongs.
+    [[nodiscard]] static std::size_t probe(const Dir& d,
+                                           std::string_view name);
+    /// Rebuilds the index at twice its size (8 slots when empty).
+    static void grow(Dir& d);
+    /// Adds (name, child) if the name is absent; returns the name's child
+    /// slot and whether it was added.
+    std::pair<ObjectId*, bool> try_emplace(ObjectId dir,
+                                           const std::string& name,
+                                           ObjectId child);
+
+    FlatMap<std::uint64_t, Dir> dirs_;
     std::size_t size_ = 0;
   };
 

@@ -34,7 +34,7 @@ void perror_tag(const char* what) {
 
 RpcServer::RpcServer(RtCluster& cluster, RpcServerConfig cfg)
     : cluster_(cluster), cfg_(std::move(cfg)), part_(cluster.size()),
-      planner_(part_, OpCosts{}), next_inode_(part_.inode_base()) {
+      planner_(part_, OpCosts{}), minted_(cluster.size()) {
   if (cfg_.event_threads == 0) cfg_.event_threads = 1;
   if (cfg_.max_inflight == 0) cfg_.max_inflight = 1;
 }
@@ -468,6 +468,12 @@ void RpcServer::handle_request(const ConnPtr& c, const Request& req) {
       });
 }
 
+std::uint64_t RpcServer::mint_inode(std::uint32_t w,
+                                    std::uint64_t unit) const {
+  const std::uint64_t n = cluster_.size();
+  return part_.inode_base() + ((unit / n) * n + w) * n + unit % n;
+}
+
 void RpcServer::submit_on_worker(const ConnPtr& c, MsgType op,
                                  std::uint64_t dir, std::uint64_t dir2,
                                  std::string name, std::string name2,
@@ -480,7 +486,7 @@ void RpcServer::submit_on_worker(const ConnPtr& c, MsgType op,
   switch (op) {
     case MsgType::kCreate:
     case MsgType::kMkdir: {
-      created = next_inode_.fetch_add(1, std::memory_order_relaxed);
+      created = mint_inode(self.value(), minted_[self.value()].units++);
       txn = planner_.plan_create(ObjectId(dir), name, ObjectId(created),
                                  /*is_dir=*/op == MsgType::kMkdir,
                                  /*hint=*/id);
@@ -492,9 +498,12 @@ void RpcServer::submit_on_worker(const ConnPtr& c, MsgType op,
       // ring.  A block of cluster_size() consecutive ids covers every ring
       // position exactly once, so each wanted home resolves to one id in
       // the block by arithmetic; the block's unused ids are never minted.
+      // The worker takes its next whole block.
       const std::uint32_t n = cluster_.size();
-      const std::uint64_t block =
-          next_inode_.fetch_add(n, std::memory_order_relaxed);
+      std::uint64_t& units = minted_[self.value()].units;
+      units = (units + n - 1) / n * n;
+      const std::uint64_t block = mint_inode(self.value(), units);
+      units += n;
       std::vector<std::pair<std::string, ObjectId>> entries;
       std::vector<NodeId> homes;
       entries.reserve(width - 1u);

@@ -63,7 +63,8 @@ class RpcServer {
   /// The server plans transactions with the same StridedPartitioner the
   /// storm plan uses: directory ids 1..n_nodes are the bootstrap hot
   /// directories, homed on node id-1; created inodes get ids allocated
-  /// above `StridedPartitioner::inode_base()`.
+  /// above `StridedPartitioner::inode_base()`, minted per coordinator
+  /// worker (see `mint_inode`).
   RpcServer(RtCluster& cluster, RpcServerConfig cfg);
   ~RpcServer();
 
@@ -141,6 +142,15 @@ class RpcServer {
                         std::uint64_t dir2, std::string name,
                         std::string name2, std::uint64_t id,
                         std::uint8_t width);
+  /// Id of worker `w`'s `unit`-th minted inode.  The id space above
+  /// inode_base() is cut into blocks of n consecutive ids, one per ring
+  /// position, dealt round-robin to the n workers; a worker's units fill
+  /// its blocks in order.  Ids are therefore unique across workers, and
+  /// the homes of a worker's successive creates cycle over the ring, so
+  /// which creates are local depends only on that worker's request stream
+  /// (exactly one in n), never on how the workers interleave.
+  [[nodiscard]] std::uint64_t mint_inode(std::uint32_t w,
+                                         std::uint64_t unit) const;
   void complete(const ConnPtr& c, std::uint64_t id, Status st,
                 std::uint64_t inode);
   /// Direct reply from the event loop (never entered `pending`).
@@ -151,7 +161,13 @@ class RpcServer {
   RpcServerConfig cfg_;
   StridedPartitioner part_;
   NamespacePlanner planner_;
-  std::atomic<std::uint64_t> next_inode_;
+  // Units minted so far, per coordinator worker; each entry is touched
+  // only by its own worker thread, and padded so workers never share a
+  // cache line.
+  struct alignas(64) MintCursor {
+    std::uint64_t units = 0;
+  };
+  std::vector<MintCursor> minted_;
 
   std::vector<std::unique_ptr<Loop>> loops_;
   std::vector<int> listen_fds_;

@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -238,6 +240,228 @@ TEST(FlatDifferential, StoreDumpsMatchOrderedMapModel) {
         [](const auto& a, const auto& b) { return a.first < b.first; }));
     ASSERT_EQ(listing.size(), ref_dentries.size());
   }
+}
+
+// --- Hashed directories vs an ordered model, through split commit + crash --
+//
+// Each directory is an unordered entry vector plus an open-addressing index
+// of positions; erase moves the last entry into the hole and backward-shifts
+// the index.  Drive several directories through a create-heavy, an
+// erase-heavy and a mixed phase (one hot directory crosses many index
+// growths), renames between directories, the split 1PC commit (commit_mem
+// now, commit_stable later, in commit order), aborts, and crashes followed
+// by replay_committed of a random durable prefix.  At every checkpoint the
+// mem and stable views must answer lookups for every live and some removed
+// names exactly like two std::maps, and the ordered dumps and readdir
+// listings must equal the maps' iteration.
+TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
+  using Key = std::pair<std::uint64_t, std::string>;
+  using Table = std::map<Key, ObjectId>;
+  using Txn = std::pair<TxnId, std::vector<Operation>>;
+  constexpr std::uint64_t kDirs = 5;
+  constexpr int kRounds = 24000;
+
+  MetaStore store{NodeId(0)};
+  for (std::uint64_t d = 1; d <= kDirs; ++d) {
+    store.bootstrap_inode(Inode{ObjectId(d), true, 1, 0});
+  }
+  Table ref_mem;
+  Table ref_stable;
+  std::vector<Key> live;     // keys of ref_mem, for random picks
+  std::vector<Key> removed;  // names that were live once
+  std::deque<Txn> unflushed;  // mem-committed, awaiting commit_stable
+  std::optional<Txn> last_flushed;
+  Rng rng;
+  TxnId txn = 1000;
+  std::uint64_t seq = 0;
+  std::uint64_t next_child = 1000;
+  std::size_t max_hot = 0;
+
+  auto apply_model = [](Table& t, const std::vector<Operation>& ops) {
+    for (const Operation& op : ops) {
+      const Key k{op.target.value(), op.name};
+      if (op.type == OpType::kAddDentry) {
+        ASSERT_TRUE(t.emplace(k, op.child).second);
+      } else {
+        ASSERT_EQ(t.erase(k), 1u);
+      }
+    }
+  };
+  // The oldest unflushed transaction's force completed.
+  auto flush_oldest = [&]() {
+    store.commit_stable(unflushed.front().first);
+    apply_model(ref_stable, unflushed.front().second);
+    last_flushed = std::move(unflushed.front());
+    unflushed.pop_front();
+  };
+  auto lookup = [](const Table& t, const Key& k) -> std::optional<ObjectId> {
+    const auto it = t.find(k);
+    if (it == t.end()) return std::nullopt;
+    return it->second;
+  };
+  auto pick_dir = [&]() -> std::uint64_t {
+    return rng.below(10) < 6 ? 1 : 2 + rng.below(kDirs - 1);
+  };
+  // Short (inline) names, long names sharing a prefix longer than one hash
+  // word, and names of every tail length.
+  auto fresh_name = [&]() -> std::string {
+    ++seq;
+    switch (rng.below(4)) {
+      case 0: return std::to_string(seq);
+      case 1: return "f" + std::to_string(seq);
+      case 2: return "a_long_shared_prefix_" + std::to_string(seq);
+      default: return std::string(1 + rng.below(12), 'x') + std::to_string(seq);
+    }
+  };
+  auto check = [&]() {
+    for (const auto& [k, child] : ref_mem) {
+      const auto got = store.mem_lookup(ObjectId(k.first), k.second);
+      ASSERT_TRUE(got.has_value()) << k.first << "/" << k.second;
+      ASSERT_EQ(*got, child);
+    }
+    for (const auto& [k, child] : ref_stable) {
+      const auto got = store.stable_lookup(ObjectId(k.first), k.second);
+      ASSERT_TRUE(got.has_value()) << k.first << "/" << k.second;
+      ASSERT_EQ(*got, child);
+    }
+    for (int i = 0; i < 256 && !removed.empty(); ++i) {
+      const Key& k = removed[rng.below(removed.size())];
+      ASSERT_EQ(store.mem_lookup(ObjectId(k.first), k.second),
+                lookup(ref_mem, k));
+      ASSERT_EQ(store.stable_lookup(ObjectId(k.first), k.second),
+                lookup(ref_stable, k));
+    }
+    const auto dump = store.stable_dentries();
+    ASSERT_EQ(dump.size(), ref_stable.size());
+    ASSERT_EQ(store.stable_dentry_count(), ref_stable.size());
+    std::size_t i = 0;
+    for (const auto& [k, child] : ref_stable) {
+      ASSERT_EQ(std::get<0>(dump[i]).value(), k.first);
+      ASSERT_EQ(std::get<1>(dump[i]), k.second);
+      ASSERT_EQ(std::get<2>(dump[i]), child);
+      ++i;
+    }
+    for (std::uint64_t d = 1; d <= kDirs; ++d) {
+      const auto listing = store.mem_list_dir(ObjectId(d));
+      if (d == 1) max_hot = std::max(max_hot, listing.size());
+      auto it = ref_mem.lower_bound(Key{d, ""});
+      for (const auto& [name, child] : listing) {
+        ASSERT_NE(it, ref_mem.end());
+        ASSERT_EQ(it->first, (Key{d, name}));
+        ASSERT_EQ(it->second, child);
+        ++it;
+      }
+      ASSERT_TRUE(it == ref_mem.end() || it->first.first != d);
+    }
+  };
+
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(round);
+    const std::uint64_t create_share =
+        round < 8000 ? 80 : (round < 16000 ? 25 : 55);
+    ++txn;
+    std::vector<Operation> ops;
+    std::size_t victim = live.size();
+    const std::uint64_t r = rng.below(100);
+    if (live.empty() || r < create_share) {
+      Key k{pick_dir(), ""};
+      // Every fifth create reuses a removed name when it is free again.
+      if (!removed.empty() && rng.below(5) == 0) {
+        const Key& old = removed[rng.below(removed.size())];
+        if (!ref_mem.contains(old)) k = old;
+      }
+      if (k.second.empty()) k.second = fresh_name();
+      ops.push_back(Operation{OpType::kAddDentry, ObjectId(k.first),
+                              ObjectId(next_child++), k.second});
+    } else {
+      victim = rng.below(live.size());
+      const Key from = live[victim];
+      const ObjectId child = ref_mem.at(from);
+      ops.push_back(Operation{OpType::kRemoveDentry, ObjectId(from.first),
+                              child, from.second});
+      if (r < create_share + 15) {  // rename, possibly keeping the name
+        Key to{pick_dir(), from.second};
+        if (rng.below(2) == 0 || (to != from && ref_mem.contains(to))) {
+          to.second = fresh_name();
+        }
+        ops.push_back(Operation{OpType::kAddDentry, ObjectId(to.first), child,
+                                to.second});
+      }
+    }
+    for (const Operation& op : ops) {
+      ASSERT_EQ(store.apply(txn, op), StoreStatus::kOk);
+    }
+
+    const std::uint64_t outcome = rng.below(100);
+    if (outcome < 4) {
+      store.abort_txn(txn);
+    } else {
+      if (unflushed.empty() && outcome < 50) {
+        store.commit_txn(txn);
+        ASSERT_NO_FATAL_FAILURE(apply_model(ref_stable, ops));
+        last_flushed = Txn{txn, ops};
+      } else {
+        store.commit_mem(txn);  // 1PC: visible before the force
+        unflushed.emplace_back(txn, ops);
+      }
+      ASSERT_NO_FATAL_FAILURE(apply_model(ref_mem, ops));
+      if (victim < live.size()) {
+        removed.push_back(live[victim]);
+        live[victim] = live.back();
+        live.pop_back();
+      }
+      for (const Operation& op : ops) {
+        if (op.type == OpType::kAddDentry) {
+          live.emplace_back(op.target.value(), op.name);
+        }
+      }
+    }
+    // The force completes later; stable state follows commit order.
+    while (!unflushed.empty() && rng.below(100) < 40) {
+      ASSERT_NO_FATAL_FAILURE(flush_oldest());
+    }
+    ASSERT_EQ(store.unflushed_txns(), unflushed.size());
+
+    if (round % 1500 == 1499) {
+      // Crash with one transaction still cached and a random prefix of the
+      // unflushed ones durable in the log; recovery replays that prefix.
+      ++txn;
+      const Key cached{1, fresh_name()};
+      ASSERT_EQ(store.apply(txn, Operation{OpType::kAddDentry,
+                                           ObjectId(cached.first),
+                                           ObjectId(next_child++),
+                                           cached.second}),
+                StoreStatus::kOk);
+      removed.push_back(cached);
+      const std::size_t durable = rng.below(unflushed.size() + 1);
+      store.crash();
+      for (std::size_t i = 0; i < durable; ++i) {
+        ASSERT_TRUE(store.replay_committed(unflushed[i].first,
+                                           unflushed[i].second));
+        ASSERT_NO_FATAL_FAILURE(apply_model(ref_stable, unflushed[i].second));
+      }
+      if (last_flushed) {
+        ASSERT_FALSE(store.replay_committed(last_flushed->first,
+                                            last_flushed->second));
+      }
+      unflushed.clear();
+      ASSERT_EQ(store.unflushed_txns(), 0u);
+      ASSERT_TRUE(store.pending_ops(txn).empty());
+      ref_mem = ref_stable;
+      live.clear();
+      for (const auto& [k, child] : ref_mem) live.push_back(k);
+      ASSERT_NO_FATAL_FAILURE(check());
+    } else if (round % 500 == 0) {
+      ASSERT_NO_FATAL_FAILURE(check());
+    }
+  }
+  while (!unflushed.empty()) {
+    ASSERT_NO_FATAL_FAILURE(flush_oldest());
+  }
+  ASSERT_NO_FATAL_FAILURE(check());
+  ASSERT_EQ(ref_mem, ref_stable);
+  // The hot directory's index grew from 8 slots to at least 4096.
+  EXPECT_GE(max_hot, 2048u);
 }
 
 // --- Lock manager vs a FIFO reference model --------------------------------
