@@ -108,6 +108,8 @@ class AcpEngine {
   [[nodiscard]] const Histogram& client_latency() const { return latency_; }
   [[nodiscard]] std::uint64_t committed_count() const { return committed_; }
   [[nodiscard]] std::uint64_t aborted_count() const { return aborted_; }
+  /// Transactions whose outcome this engine remembers (never pruned).
+  [[nodiscard]] std::size_t finished_count() const { return finished_.size(); }
 
  private:
   // ---- per-transaction coordinator state ----

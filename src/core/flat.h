@@ -143,14 +143,6 @@ class FlatMap {
     size_ = 0;
   }
 
-  /// Replaces contents with a copy of `o` (FlatMap is otherwise move-only;
-  /// copying is an explicit, deliberate act).  Capacity is retained.
-  void clone_from(const FlatMap& o) {
-    clear();
-    reserve(o.size() + 1);
-    o.for_each([this](const K& k, const V& v) { try_emplace(k, v); });
-  }
-
   /// Visits every (key, value).  Do not insert or erase from `fn`.
   template <class F>
   void for_each(F&& fn) {

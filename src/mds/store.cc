@@ -9,7 +9,18 @@
 namespace opc {
 namespace {
 const std::vector<Operation> kNoOps;
+const auto kAllOps = [](const Operation&) { return true; };
 constexpr std::size_t kMaxPooledOps = 32;
+
+bool is_dentry_op(OpType t) {
+  return t == OpType::kAddDentry || t == OpType::kRemoveDentry;
+}
+
+/// True if both ops write the same inode or the same (dir, name) dentry.
+bool same_key(const Operation& a, const Operation& b) {
+  return a.target == b.target && is_dentry_op(a.type) == is_dentry_op(b.type) &&
+         (!is_dentry_op(a.type) || a.name == b.name);
+}
 
 /// 64-bit hash of a whole dentry name.  Names arrive from the wire, so
 /// every byte feeds the state (eight at a time), and FlatHash's splitmix64
@@ -127,34 +138,24 @@ const MetaStore::DentryTable::Entries* MetaStore::DentryTable::entries(
   return d == nullptr ? nullptr : &d->entries;
 }
 
-void MetaStore::DentryTable::clear() {
-  dirs_.clear();
-  size_ = 0;
-}
-
-void MetaStore::DentryTable::clone_from(const DentryTable& o) {
-  dirs_.clone_from(o.dirs_);
-  size_ = o.size_;
-}
-
 // --- MetaStore -------------------------------------------------------------
 
 std::optional<Inode> MetaStore::mem_inode(ObjectId id) const {
-  const Inode* ino = mem_inodes_.find(id.value());
+  const Inode* ino = inodes_.find(id.value());
   if (ino == nullptr) return std::nullopt;
   return *ino;
 }
 
 std::optional<ObjectId> MetaStore::mem_lookup(ObjectId dir,
                                               const std::string& name) const {
-  const ObjectId* child = mem_dentries_.find(dir, name);
+  const ObjectId* child = dentries_.find(dir, name);
   if (child == nullptr) return std::nullopt;
   return *child;
 }
 
 std::vector<std::pair<std::string, ObjectId>> MetaStore::mem_list_dir(
     ObjectId dir) const {
-  const auto* es = mem_dentries_.entries(dir);
+  const auto* es = dentries_.entries(dir);
   if (es == nullptr) return {};
   std::vector<std::pair<std::string, ObjectId>> out = *es;
   std::sort(out.begin(), out.end(),
@@ -164,9 +165,9 @@ std::vector<std::pair<std::string, ObjectId>> MetaStore::mem_list_dir(
 
 std::optional<Inode> MetaStore::effective_inode(TxnId txn, ObjectId id) const {
   std::optional<Inode> ino = mem_inode(id);
-  const std::vector<Operation>* pend = pending_.find(txn);
+  const TxnOps* pend = pending_.find(txn);
   if (pend == nullptr) return ino;
-  for (const Operation& op : *pend) {
+  for (const Operation& op : pend->ops) {
     if (op.target != id) continue;
     switch (op.type) {
       case OpType::kCreateInode:
@@ -197,9 +198,9 @@ std::optional<Inode> MetaStore::effective_inode(TxnId txn, ObjectId id) const {
 std::optional<ObjectId> MetaStore::effective_lookup(
     TxnId txn, ObjectId dir, const std::string& name) const {
   std::optional<ObjectId> child = mem_lookup(dir, name);
-  const std::vector<Operation>* pend = pending_.find(txn);
+  const TxnOps* pend = pending_.find(txn);
   if (pend == nullptr) return child;
-  for (const Operation& op : *pend) {
+  for (const Operation& op : pend->ops) {
     if (op.target != dir || op.name != name) continue;
     if (op.type == OpType::kAddDentry) child = op.child;
     if (op.type == OpType::kRemoveDentry) child.reset();
@@ -208,9 +209,9 @@ std::optional<ObjectId> MetaStore::effective_lookup(
 }
 
 bool MetaStore::effective_dir_empty(TxnId txn, ObjectId dir) const {
-  std::size_t entries = mem_dentries_.entry_count(dir);
-  if (const std::vector<Operation>* pend = pending_.find(txn)) {
-    for (const Operation& op : *pend) {
+  std::size_t entries = dentries_.entry_count(dir);
+  if (const TxnOps* pend = pending_.find(txn)) {
+    for (const Operation& op : pend->ops) {
       if (op.target != dir) continue;
       if (op.type == OpType::kAddDentry) ++entries;
       if (op.type == OpType::kRemoveDentry) --entries;
@@ -277,99 +278,147 @@ StoreStatus MetaStore::apply(TxnId txn, const Operation& op) {
   const StoreStatus st = validate(txn, op);
   if (st != StoreStatus::kOk) return st;
   if (!op_is_read(op.type)) {
-    auto [ops, inserted] = pending_.try_emplace(txn);
+    auto [rec, inserted] = pending_.try_emplace(txn);
     if (inserted && !ops_pool_.empty()) {
-      *ops = std::move(ops_pool_.back());
+      *rec = std::move(ops_pool_.back());
       ops_pool_.pop_back();
     }
-    ops->push_back(op);
+    rec->ops.push_back(op);
   }
   return StoreStatus::kOk;
 }
 
-void MetaStore::apply_to(const Operation& op, InodeTable& inodes,
-                         DentryTable& dentries) {
+void MetaStore::apply_to(const Operation& op, PreImage* pre) {
+  const std::uint64_t id = op.target.value();
+  // Inode ops other than CreateInode: the inode was validated to exist.
+  auto live_inode = [&](const char* what) {
+    Inode* ino = inodes_.find(id);
+    SIM_CHECK_MSG(ino != nullptr, what);
+    if (pre != nullptr) *pre = PreImage{true, *ino, ObjectId{}};
+    return ino;
+  };
   switch (op.type) {
     case OpType::kCreateInode: {
       // Convention: CreateInode with child==target marks a directory.
       const bool inserted =
-          inodes
-              .try_emplace(op.target.value(),
-                           Inode{op.target, op.child == op.target, 0, 0})
+          inodes_.try_emplace(id, Inode{op.target, op.child == op.target, 0, 0})
               .second;
       SIM_CHECK_MSG(inserted, "CreateInode on existing inode");
+      if (pre != nullptr) *pre = PreImage{};
       break;
     }
     case OpType::kRemoveInode:
-      SIM_CHECK_MSG(inodes.erase(op.target.value()),
-                    "RemoveInode on missing inode");
+      live_inode("RemoveInode on missing inode");
+      inodes_.erase(id);
       break;
-    case OpType::kIncLink: {
-      Inode* ino = inodes.find(op.target.value());
-      SIM_CHECK_MSG(ino != nullptr, "IncLink on missing inode");
-      ++ino->nlink;
+    case OpType::kIncLink:
+      ++live_inode("IncLink on missing inode")->nlink;
       break;
-    }
     case OpType::kDecLink: {
-      Inode* ino = inodes.find(op.target.value());
-      SIM_CHECK_MSG(ino != nullptr, "DecLink on missing inode");
+      Inode* ino = live_inode("DecLink on missing inode");
       SIM_CHECK_MSG(ino->nlink > 0, "DecLink underflow");
-      if (--ino->nlink == 0) inodes.erase(op.target.value());
+      if (--ino->nlink == 0) inodes_.erase(id);
       break;
     }
-    case OpType::kSetAttr: {
-      Inode* ino = inodes.find(op.target.value());
-      SIM_CHECK_MSG(ino != nullptr, "SetAttr on missing inode");
-      ++ino->version;
+    case OpType::kSetAttr:
+      ++live_inode("SetAttr on missing inode")->version;
       break;
-    }
     case OpType::kAddDentry:
-      SIM_CHECK_MSG(dentries.insert(op.target, op.name, op.child),
+      SIM_CHECK_MSG(dentries_.insert(op.target, op.name, op.child),
                     "AddDentry on existing name");
+      if (pre != nullptr) *pre = PreImage{};
       break;
-    case OpType::kRemoveDentry:
-      SIM_CHECK_MSG(dentries.erase(op.target, op.name),
-                    "RemoveDentry on missing name");
+    case OpType::kRemoveDentry: {
+      const ObjectId* child = dentries_.find(op.target, op.name);
+      SIM_CHECK_MSG(child != nullptr, "RemoveDentry on missing name");
+      if (pre != nullptr) *pre = PreImage{true, Inode{}, *child};
+      dentries_.erase(op.target, op.name);
       break;
+    }
     case OpType::kReadAttr:
       break;
   }
 }
 
-void MetaStore::recycle_ops(std::vector<Operation>&& ops) {
+void MetaStore::restore(const TxnOps& rec) {
+  for (std::size_t i = rec.ops.size(); i-- > 0;) {
+    const Operation& op = rec.ops[i];
+    const PreImage& pre = rec.pre[i];
+    if (is_dentry_op(op.type)) {
+      if (pre.existed) {
+        dentries_.upsert(op.target, op.name, pre.child);
+      } else {
+        dentries_.erase(op.target, op.name);
+      }
+    } else if (pre.existed) {
+      inodes_[op.target.value()] = pre.inode;
+    } else {
+      inodes_.erase(op.target.value());
+    }
+  }
+}
+
+void MetaStore::check_stable_order(std::uint64_t seq,
+                                   const std::vector<Operation>& ops) const {
+  unflushed_.for_each([&](const TxnId&, const TxnOps& older) {
+    if (older.seq >= seq) return;
+    for (const Operation& held : older.ops) {
+      for (const Operation& op : ops) {
+        SIM_CHECK_MSG(op_is_read(op.type) || !same_key(held, op),
+                      "transaction became stable ahead of an older "
+                      "unflushed write to the same key");
+      }
+    }
+  });
+}
+
+void MetaStore::recycle_ops(TxnOps&& rec) {
   if (ops_pool_.size() >= kMaxPooledOps) return;
-  ops.clear();
-  ops_pool_.push_back(std::move(ops));
+  rec.ops.clear();
+  rec.pre.clear();
+  ops_pool_.push_back(std::move(rec));
 }
 
 void MetaStore::commit_mem(TxnId txn) {
-  std::vector<Operation>* ops = pending_.find(txn);
-  if (ops == nullptr) return;  // read-only or empty share
+  TxnOps* rec = pending_.find(txn);
+  if (rec == nullptr) return;  // read-only or empty share
   SIM_CHECK_MSG(!unflushed_.contains(txn), "commit_mem called twice");
-  for (const Operation& op : *ops) {
-    apply_to(op, mem_inodes_, mem_dentries_);
+  rec->pre.resize(rec->ops.size());
+  for (std::size_t i = 0; i < rec->ops.size(); ++i) {
+    apply_to(rec->ops[i], &rec->pre[i]);
   }
-  unflushed_.try_emplace(txn, std::move(*ops));
+  rec->seq = next_seq_++;
+  unflushed_.try_emplace(txn, std::move(*rec));
   pending_.erase(txn);
 }
 
 void MetaStore::commit_stable(TxnId txn) {
-  std::vector<Operation>* ops = unflushed_.find(txn);
-  if (ops == nullptr) return;  // read-only or empty share
-  for (const Operation& op : *ops) {
-    apply_to(op, stable_inodes_, stable_dentries_);
-  }
+  TxnOps* rec = unflushed_.find(txn);
+  if (rec == nullptr) return;  // read-only or empty share
+  check_stable_order(rec->seq, rec->ops);
   stable_applied_.insert(txn);
-  std::vector<Operation> shell = std::move(*ops);
+  TxnOps shell = std::move(*rec);
   unflushed_.erase(txn);
+  recycle_ops(std::move(shell));
+}
+
+void MetaStore::commit_txn(TxnId txn) {
+  TxnOps* rec = pending_.find(txn);
+  if (rec == nullptr) return;  // read-only or empty share
+  SIM_CHECK_MSG(!unflushed_.contains(txn), "commit_txn after commit_mem");
+  check_stable_order(UINT64_MAX, rec->ops);
+  for (const Operation& op : rec->ops) apply_to(op, nullptr);
+  stable_applied_.insert(txn);
+  TxnOps shell = std::move(*rec);
+  pending_.erase(txn);
   recycle_ops(std::move(shell));
 }
 
 void MetaStore::abort_txn(TxnId txn) {
   SIM_CHECK_MSG(!unflushed_.contains(txn),
                 "abort after commit_mem is a protocol bug");
-  if (std::vector<Operation>* ops = pending_.find(txn)) {
-    std::vector<Operation> shell = std::move(*ops);
+  if (TxnOps* rec = pending_.find(txn)) {
+    TxnOps shell = std::move(*rec);
     pending_.erase(txn);
     recycle_ops(std::move(shell));
   }
@@ -377,72 +426,126 @@ void MetaStore::abort_txn(TxnId txn) {
 
 void MetaStore::crash() {
   pending_.clear();
+  std::vector<const TxnOps*> newest_first;
+  newest_first.reserve(unflushed_.size());
+  unflushed_.for_each([&newest_first](const TxnId&, const TxnOps& rec) {
+    newest_first.push_back(&rec);
+  });
+  std::sort(newest_first.begin(), newest_first.end(),
+            [](const TxnOps* a, const TxnOps* b) { return a->seq > b->seq; });
+  for (const TxnOps* rec : newest_first) restore(*rec);
   unflushed_.clear();
-  mem_inodes_.clone_from(stable_inodes_);
-  mem_dentries_.clone_from(stable_dentries_);
 }
 
 bool MetaStore::replay_committed(TxnId txn,
                                  const std::vector<Operation>& ops) {
   if (stable_applied_.contains(txn)) return false;
-  for (const Operation& op : ops) {
-    if (op_is_read(op.type)) continue;
-    apply_to(op, stable_inodes_, stable_dentries_);
-    apply_to(op, mem_inodes_, mem_dentries_);
-  }
+  check_stable_order(UINT64_MAX, ops);
+  for (const Operation& op : ops) apply_to(op, nullptr);
   stable_applied_.insert(txn);
   return true;
 }
 
+// Visits the unflushed records in no particular order and keeps, per
+// matching key, the pre-image of the record with the lowest seq; within
+// one record the first op to touch a key saved its pre-image.
+template <class Match>
+MetaStore::StableOverlay MetaStore::stable_overlay(Match&& match) const {
+  StableOverlay ov;
+  const SeqPreImage none{UINT64_MAX, nullptr};
+  unflushed_.for_each([&](const TxnId&, const TxnOps& rec) {
+    for (std::size_t j = 0; j < rec.ops.size(); ++j) {
+      const Operation& op = rec.ops[j];
+      if (!match(op)) continue;
+      SeqPreImage& slot =
+          is_dentry_op(op.type)
+              ? ov.dentries.try_emplace({op.target.value(), op.name}, none)
+                    .first->second
+              : ov.inodes.try_emplace(op.target.value(), none).first->second;
+      if (rec.seq < slot.first) slot = {rec.seq, &rec.pre[j]};
+    }
+  });
+  return ov;
+}
+
 std::optional<Inode> MetaStore::stable_inode(ObjectId id) const {
-  const Inode* ino = stable_inodes_.find(id.value());
-  if (ino == nullptr) return std::nullopt;
-  return *ino;
+  const StableOverlay ov = stable_overlay([id](const Operation& op) {
+    return !is_dentry_op(op.type) && op.target == id;
+  });
+  if (ov.inodes.empty()) return mem_inode(id);
+  const PreImage* oldest = ov.inodes.begin()->second.second;
+  if (!oldest->existed) return std::nullopt;
+  return oldest->inode;
 }
 
 std::optional<ObjectId> MetaStore::stable_lookup(
     ObjectId dir, const std::string& name) const {
-  const ObjectId* child = stable_dentries_.find(dir, name);
-  if (child == nullptr) return std::nullopt;
-  return *child;
+  const StableOverlay ov = stable_overlay([&dir, &name](const Operation& op) {
+    return is_dentry_op(op.type) && op.target == dir && op.name == name;
+  });
+  if (ov.dentries.empty()) return mem_lookup(dir, name);
+  const PreImage* oldest = ov.dentries.begin()->second.second;
+  if (!oldest->existed) return std::nullopt;
+  return oldest->child;
+}
+
+std::size_t MetaStore::stable_inode_count() const {
+  return unflushed_.empty() ? inodes_.size() : stable_inodes().size();
+}
+
+std::size_t MetaStore::stable_dentry_count() const {
+  return unflushed_.empty() ? dentries_.size() : stable_dentries().size();
 }
 
 std::vector<std::tuple<ObjectId, std::string, ObjectId>>
 MetaStore::stable_dentries() const {
+  const StableOverlay ov = stable_overlay(kAllOps);
   std::vector<std::tuple<ObjectId, std::string, ObjectId>> out;
-  out.reserve(stable_dentries_.size());
-  stable_dentries_.for_each_entry(
-      [&out](ObjectId dir, const std::string& name, ObjectId child) {
-        out.emplace_back(dir, name, child);
+  out.reserve(dentries_.size());
+  dentries_.for_each_entry(
+      [&](ObjectId dir, const std::string& name, ObjectId child) {
+        if (!ov.dentries.contains({dir.value(), name})) {
+          out.emplace_back(dir, name, child);
+        }
       });
+  for (const auto& [key, seq_pre] : ov.dentries) {
+    const PreImage* pre = seq_pre.second;
+    if (pre->existed) {
+      out.emplace_back(ObjectId(key.first), std::string(key.second),
+                       pre->child);
+    }
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<Inode> MetaStore::stable_inodes() const {
+  const StableOverlay ov = stable_overlay(kAllOps);
   std::vector<Inode> out;
-  out.reserve(stable_inodes_.size());
-  stable_inodes_.for_each(
-      [&out](const std::uint64_t&, const Inode& ino) { out.push_back(ino); });
+  out.reserve(inodes_.size());
+  inodes_.for_each([&](const std::uint64_t& id, const Inode& ino) {
+    if (!ov.inodes.contains(id)) out.push_back(ino);
+  });
+  for (const auto& [id, seq_pre] : ov.inodes) {
+    if (seq_pre.second->existed) out.push_back(seq_pre.second->inode);
+  }
   std::sort(out.begin(), out.end(),
             [](const Inode& a, const Inode& b) { return a.id < b.id; });
   return out;
 }
 
 const std::vector<Operation>& MetaStore::pending_ops(TxnId txn) const {
-  const std::vector<Operation>* ops = pending_.find(txn);
-  return ops == nullptr ? kNoOps : *ops;
+  const TxnOps* rec = pending_.find(txn);
+  return rec == nullptr ? kNoOps : rec->ops;
 }
 
 void MetaStore::bootstrap_inode(const Inode& ino) {
-  mem_inodes_[ino.id.value()] = ino;
-  stable_inodes_[ino.id.value()] = ino;
+  inodes_[ino.id.value()] = ino;
 }
 
 void MetaStore::bootstrap_dentry(ObjectId dir, const std::string& name,
                                  ObjectId child) {
-  mem_dentries_.upsert(dir, name, child);
-  stable_dentries_.upsert(dir, name, child);
+  dentries_.upsert(dir, name, child);
 }
 
 }  // namespace opc

@@ -6,15 +6,28 @@
 //
 //   1. per-transaction pending ops — the volatile cache.  Dropped on crash
 //      or abort.
-//   2. in-memory committed tables (`mem`) — the logically current state
-//      every new transaction validates against.  The 1PC coordinator makes
-//      a transaction visible here (and releases its locks) *before* its own
-//      commit force completes — the paper's headline latency optimization —
-//      so `mem` can run ahead of disk.  Lost on crash, rebuilt from stable
-//      state + log recovery.
-//   3. stable tables — what survives a crash.  Mutated only by
-//      commit_stable()/replay, strictly after the corresponding log force
-//      is durable.
+//   2. one namespace table (an inode table and a dentry table) — the
+//      logically current state every new transaction validates against.
+//      A non-1PC commit (commit_txn) and log replay apply here only once
+//      the updates are durable, so they are stable the moment they land.
+//   3. undo records for mem-committed but unflushed ops.  The 1PC
+//      coordinator makes a transaction visible in the table (and releases
+//      its locks) *before* its own commit force completes — the paper's
+//      headline latency optimization (§III-B/D) — so the table can run
+//      ahead of disk.  commit_mem() saves, beside each op, its pre-image:
+//      whether the inode or (dir, name) key existed and its old value.
+//      commit_stable() drops the record once the force is durable; crash()
+//      restores the unflushed records newest first, which leaves exactly
+//      the stable state.
+//
+// The stable view (what a crash preserves) is the table with every key an
+// unflushed record touches read from the pre-image its oldest record saved.
+// That is the state the stable transactions alone produce only if
+// conflicting transactions become stable in commit_mem order; FIFO log
+// devices give that order, and commit_stable/commit_txn/replay_committed
+// SIM_CHECK it: a transaction that becomes stable must not write a key an
+// older unflushed record holds.  The stable readers are cold (checkers,
+// dumps); with nothing unflushed they read the table directly.
 //
 // Idempotent redo: stable state remembers the ids of transactions whose
 // effects it already contains (`stable_applied`).  This models ARIES page
@@ -24,17 +37,18 @@
 // replay a committed transaction exactly once no matter how often it is
 // re-driven.
 //
-// Hot-path memory: the four metadata tables are open-addressing FlatMaps,
-// and the per-transaction op vectors are recycled through a shell pool, so
-// the steady-state apply/commit cycle allocates only when a table doubles.
-// Dentries are grouped per directory, each directory an unordered entry
-// vector with its own open-addressing index over entry positions, so a
-// create or unlink in a directory of any size is O(1) expected.  Name order
-// is produced only where it is promised, by sorting at the cold sites:
-// readdir (mem_list_dir) and the stable_dentries() dump.
+// Hot-path memory: the inode table is an open-addressing FlatMap, and the
+// per-transaction op and pre-image vectors are recycled together through a
+// shell pool, so the steady-state apply/commit cycle allocates only when a
+// table grows.  Dentries are grouped per directory, each directory an
+// unordered entry vector with its own open-addressing index over entry
+// positions, so a create or unlink in a directory of any size is O(1)
+// expected.  Name order is produced only where it is promised, by sorting
+// at the cold sites: readdir (mem_list_dir) and the stable_dentries() dump.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -81,37 +95,42 @@ class MetaStore {
   StoreStatus apply(TxnId txn, const Operation& op);
 
   /// Makes the transaction's cached updates visible in `mem` (logically
-  /// committed).  The ops move to the unflushed set awaiting
-  /// commit_stable().  Call at most once per transaction.
+  /// committed): applies them to the table and keeps them, with each op's
+  /// pre-image, as an unflushed record awaiting commit_stable().  Call at
+  /// most once per transaction.
   void commit_mem(TxnId txn);
 
-  /// Promotes the transaction's unflushed updates into stable state and
-  /// marks the transaction applied.  Must only run once the updates are
-  /// durable in the WAL.
+  /// Makes the transaction's unflushed updates stable: drops its undo
+  /// record and marks the transaction applied.  Must only run once the
+  /// updates are durable in the WAL.
   void commit_stable(TxnId txn);
 
-  /// commit_mem + commit_stable in one step (the common non-1PC path).
-  void commit_txn(TxnId txn) {
-    commit_mem(txn);
-    commit_stable(txn);
-  }
+  /// commit_mem + commit_stable in one step (the common non-1PC path):
+  /// applies the cached updates with no undo record.  Must only run once
+  /// the updates are durable in the WAL.
+  void commit_txn(TxnId txn);
 
   /// Discards the transaction's cached updates (abort path; only valid
   /// before commit_mem).
   void abort_txn(TxnId txn);
 
-  /// Crash: caches and the mem overlay vanish; mem is rebuilt equal to
-  /// stable state.  Recovery then replays from the log.
+  /// Crash: caches vanish and the unflushed records are undone newest
+  /// first, so mem equals stable state.  Recovery then replays from the log.
   void crash();
 
-  /// Replays a committed transaction's operations directly against stable
-  /// (and mem) state.  Idempotent: if the transaction was already applied
-  /// to stable state, this is a no-op.  Returns true if it applied.
+  /// Replays a committed transaction's operations directly against the
+  /// table (stable and mem at once).  Idempotent: if the transaction was
+  /// already applied to stable state, this is a no-op.  Returns true if it
+  /// applied.
   bool replay_committed(TxnId txn, const std::vector<Operation>& ops);
 
   /// True if stable state already contains the transaction's effects.
   [[nodiscard]] bool stable_applied(TxnId txn) const {
     return stable_applied_.contains(txn);
+  }
+  /// Transactions stable state remembers as applied (never pruned).
+  [[nodiscard]] std::size_t stable_applied_count() const {
+    return stable_applied_.size();
   }
 
   // --- Queries: current logical view (mem) ---
@@ -130,15 +149,14 @@ class MetaStore {
       TxnId txn, ObjectId dir, const std::string& name) const;
 
   // --- Queries: stable view (what a crash preserves) ---
+  // Cold: each reader derives the view from the table and the unflushed
+  // records' oldest pre-images; with nothing unflushed it reads the table.
   [[nodiscard]] std::optional<Inode> stable_inode(ObjectId id) const;
   [[nodiscard]] std::optional<ObjectId> stable_lookup(
       ObjectId dir, const std::string& name) const;
-  [[nodiscard]] std::size_t stable_inode_count() const {
-    return stable_inodes_.size();
-  }
-  [[nodiscard]] std::size_t stable_dentry_count() const {
-    return stable_dentries_.size();
-  }
+  /// O(1) when nothing is unflushed.
+  [[nodiscard]] std::size_t stable_inode_count() const;
+  [[nodiscard]] std::size_t stable_dentry_count() const;
   /// (dir, name, child) tuples sorted by (dir, name) — the iteration order
   /// of the ordered map this table replaced.
   [[nodiscard]] std::vector<std::tuple<ObjectId, std::string, ObjectId>>
@@ -153,8 +171,8 @@ class MetaStore {
     return unflushed_.size();
   }
 
-  /// Seeds both mem and stable state directly (bootstrap: root directory,
-  /// pre-populated trees).  Bypasses logging by design.
+  /// Seeds the table directly, so mem and stable state at once (bootstrap:
+  /// root directory, pre-populated trees).  Bypasses logging by design.
   void bootstrap_inode(const Inode& ino);
   void bootstrap_dentry(ObjectId dir, const std::string& name, ObjectId child);
 
@@ -189,8 +207,6 @@ class MetaStore {
     /// Entries of one directory in unspecified order, or nullptr if it has
     /// none.
     [[nodiscard]] const Entries* entries(ObjectId dir) const;
-    void clear();
-    void clone_from(const DentryTable& o);
     /// Visits (dir, name, child) in unspecified order; callers sort if they
     /// need a deterministic dump.
     template <class F>
@@ -227,24 +243,63 @@ class MetaStore {
     std::size_t size_ = 0;
   };
 
+  /// What one op overwrote: whether its key (the op's inode, or its
+  /// (dir, name) dentry) existed, and the old value.
+  struct PreImage {
+    bool existed = false;
+    Inode inode;     // inode ops
+    ObjectId child;  // dentry ops
+  };
+
+  /// A transaction's ops; once mem-committed, also one pre-image per op
+  /// (its undo record) and its place in commit_mem order.
+  struct TxnOps {
+    std::vector<Operation> ops;
+    std::vector<PreImage> pre;
+    std::uint64_t seq = 0;
+  };
+
+  /// The pre-image a record saved for a key, with the record's seq.
+  using SeqPreImage = std::pair<std::uint64_t, const PreImage*>;
+  /// Every key the unflushed records touch, with the pre-image of the
+  /// oldest record that touched it: that key's stable value.  Dentry names
+  /// point into the records' ops.
+  struct StableOverlay {
+    std::map<std::uint64_t, SeqPreImage> inodes;
+    std::map<std::pair<std::uint64_t, std::string_view>, SeqPreImage>
+        dentries;
+  };
+
   [[nodiscard]] StoreStatus validate(TxnId txn, const Operation& op) const;
   /// True if `dir` has no entries in the transaction's effective view.
   [[nodiscard]] bool effective_dir_empty(TxnId txn, ObjectId dir) const;
-  static void apply_to(const Operation& op, InodeTable& inodes,
-                       DentryTable& dentries);
-  void recycle_ops(std::vector<Operation>&& ops);
+  /// Applies one op to the table, saving what it overwrote in `pre` when
+  /// non-null.
+  void apply_to(const Operation& op, PreImage* pre);
+  /// Undoes one unflushed record, newest op first.
+  void restore(const TxnOps& rec);
+  /// The overlay of the unflushed ops `match` accepts: the one path every
+  /// stable reader takes (a point read matches its own key only).
+  template <class Match>
+  [[nodiscard]] StableOverlay stable_overlay(Match&& match) const;
+  /// SIM_CHECKs that `ops`, about to become stable, write no key held by
+  /// an unflushed record with a seq below `seq`.
+  void check_stable_order(std::uint64_t seq,
+                          const std::vector<Operation>& ops) const;
+  void recycle_ops(TxnOps&& rec);
 
   NodeId owner_;
-  InodeTable mem_inodes_;
-  DentryTable mem_dentries_;
-  InodeTable stable_inodes_;
-  DentryTable stable_dentries_;
-  FlatMap<TxnId, std::vector<Operation>> pending_;
-  FlatMap<TxnId, std::vector<Operation>> unflushed_;
+  InodeTable inodes_;
+  DentryTable dentries_;
+  FlatMap<TxnId, TxnOps> pending_;
+  /// Undo records of mem-committed transactions awaiting commit_stable().
+  FlatMap<TxnId, TxnOps> unflushed_;
+  /// The seq the next commit_mem stamps on its record.
+  std::uint64_t next_seq_ = 0;
   FlatSet<TxnId> stable_applied_;
-  // Recycled op-vector shells (bounded): apply() checks one out, the
+  // Recycled op/pre-image shells (bounded): apply() checks one out, the
   // commit/abort paths return it.
-  std::vector<std::vector<Operation>> ops_pool_;
+  std::vector<TxnOps> ops_pool_;
 };
 
 }  // namespace opc

@@ -84,13 +84,22 @@ RtCluster::StormResult RtCluster::run_storm(const StormPlan& plan,
 
 RtCluster::StormResult RtCluster::fold_results() {
   StormResult res;
+  std::int64_t unflushed = 0, stable_applied = 0, finished = 0;
   for (std::uint32_t i = 0; i < size(); ++i) {
     const AcpEngine& eng = cluster_.engine(NodeId(i));
     res.committed += eng.committed_count();
     res.aborted += eng.aborted_count();
     res.latency.merge(eng.client_latency());
     res.stats.merge(sinks_[i].stats);
+    const MetaStore& store = cluster_.node(NodeId(i)).store();
+    unflushed += static_cast<std::int64_t>(store.unflushed_txns());
+    stable_applied += static_cast<std::int64_t>(store.stable_applied_count());
+    finished += static_cast<std::int64_t>(eng.finished_count());
   }
+  // Sizes of the per-transaction tables that still grow with the run.
+  res.stats.set("mds.unflushed", unflushed);
+  res.stats.set("mds.stable_applied", stable_applied);
+  res.stats.set("acp.finished", finished);
   res.stats.merge(storage_stats_);
   net_.export_stats(res.stats);
   const Histogram late = env_.dispatch_lateness();

@@ -62,8 +62,9 @@ class RtCluster {
   StormResult run_storm(const StormPlan& plan, std::uint32_t concurrency,
                         Duration max_wall = Duration::zero());
 
-  /// Folds every node's engine results and sinks, the transport's counters
-  /// and the executor's rt.timer.* gauges into one StormResult
+  /// Folds every node's engine results and sinks, the transport's counters,
+  /// the executor's rt.timer.* gauges and the per-transaction table sizes
+  /// (mds.unflushed, mds.stable_applied, acp.finished) into one StormResult
   /// (wall_seconds and ops_per_second stay 0).  Call only while the env is
   /// quiescent (after env().wait_idle()).
   [[nodiscard]] StormResult fold_results();

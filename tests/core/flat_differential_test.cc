@@ -250,25 +250,37 @@ TEST(FlatDifferential, StoreDumpsMatchOrderedMapModel) {
 // erase-heavy and a mixed phase (one hot directory crosses many index
 // growths), renames between directories, the split 1PC commit (commit_mem
 // now, commit_stable later, in commit order), aborts, and crashes followed
-// by replay_committed of a random durable prefix.  At every checkpoint the
-// mem and stable views must answer lookups for every live and some removed
-// names exactly like two std::maps, and the ordered dumps and readdir
-// listings must equal the maps' iteration.
+// by replay_committed of a random durable prefix.  Every create also makes
+// the child's inode (CreateInode + IncLink), every unlink drops it
+// (DecLink to zero or RemoveInode), and attribute transactions SetAttr,
+// IncLink and DecLink live inodes, so the undo records cover every op kind.
+// At every checkpoint — most of them with transactions still unflushed —
+// the mem and stable views must answer lookups for every live and some
+// removed names and inodes exactly like std::maps, and the ordered dumps,
+// counts and readdir listings must equal the maps' iteration.
 TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
   using Key = std::pair<std::uint64_t, std::string>;
   using Table = std::map<Key, ObjectId>;
+  struct Model {
+    Table dentries;
+    std::map<std::uint64_t, Inode> inodes;
+    bool operator==(const Model&) const = default;
+  };
   using Txn = std::pair<TxnId, std::vector<Operation>>;
   constexpr std::uint64_t kDirs = 5;
   constexpr int kRounds = 24000;
 
   MetaStore store{NodeId(0)};
+  Model ref_mem;
   for (std::uint64_t d = 1; d <= kDirs; ++d) {
-    store.bootstrap_inode(Inode{ObjectId(d), true, 1, 0});
+    const Inode dir{ObjectId(d), true, 1, 0};
+    store.bootstrap_inode(dir);
+    ref_mem.inodes[d] = dir;
   }
-  Table ref_mem;
-  Table ref_stable;
-  std::vector<Key> live;     // keys of ref_mem, for random picks
+  Model ref_stable = ref_mem;
+  std::vector<Key> live;     // keys of ref_mem.dentries, for random picks
   std::vector<Key> removed;  // names that were live once
+  std::vector<std::uint64_t> removed_inodes;
   std::deque<Txn> unflushed;  // mem-committed, awaiting commit_stable
   std::optional<Txn> last_flushed;
   Rng rng;
@@ -276,14 +288,39 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
   std::uint64_t seq = 0;
   std::uint64_t next_child = 1000;
   std::size_t max_hot = 0;
+  std::size_t checks_in_flight = 0;  // checkpoints with records unflushed
 
-  auto apply_model = [](Table& t, const std::vector<Operation>& ops) {
+  auto apply_model = [](Model& m, const std::vector<Operation>& ops) {
     for (const Operation& op : ops) {
-      const Key k{op.target.value(), op.name};
-      if (op.type == OpType::kAddDentry) {
-        ASSERT_TRUE(t.emplace(k, op.child).second);
-      } else {
-        ASSERT_EQ(t.erase(k), 1u);
+      const std::uint64_t id = op.target.value();
+      const Key k{id, op.name};
+      switch (op.type) {
+        case OpType::kAddDentry:
+          ASSERT_TRUE(m.dentries.emplace(k, op.child).second);
+          break;
+        case OpType::kRemoveDentry:
+          ASSERT_EQ(m.dentries.erase(k), 1u);
+          break;
+        case OpType::kCreateInode:
+          ASSERT_TRUE(m.inodes
+                          .emplace(id, Inode{op.target, op.child == op.target,
+                                             0, 0})
+                          .second);
+          break;
+        case OpType::kIncLink:
+          ++m.inodes.at(id).nlink;
+          break;
+        case OpType::kDecLink:
+          if (--m.inodes.at(id).nlink == 0) m.inodes.erase(id);
+          break;
+        case OpType::kSetAttr:
+          ++m.inodes.at(id).version;
+          break;
+        case OpType::kRemoveInode:
+          ASSERT_EQ(m.inodes.erase(id), 1u);
+          break;
+        case OpType::kReadAttr:
+          break;
       }
     }
   };
@@ -297,6 +334,12 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
   auto lookup = [](const Table& t, const Key& k) -> std::optional<ObjectId> {
     const auto it = t.find(k);
     if (it == t.end()) return std::nullopt;
+    return it->second;
+  };
+  auto inode_of = [](const Model& m,
+                     std::uint64_t id) -> std::optional<Inode> {
+    const auto it = m.inodes.find(id);
+    if (it == m.inodes.end()) return std::nullopt;
     return it->second;
   };
   auto pick_dir = [&]() -> std::uint64_t {
@@ -314,12 +357,13 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
     }
   };
   auto check = [&]() {
-    for (const auto& [k, child] : ref_mem) {
+    if (!unflushed.empty()) ++checks_in_flight;
+    for (const auto& [k, child] : ref_mem.dentries) {
       const auto got = store.mem_lookup(ObjectId(k.first), k.second);
       ASSERT_TRUE(got.has_value()) << k.first << "/" << k.second;
       ASSERT_EQ(*got, child);
     }
-    for (const auto& [k, child] : ref_stable) {
+    for (const auto& [k, child] : ref_stable.dentries) {
       const auto got = store.stable_lookup(ObjectId(k.first), k.second);
       ASSERT_TRUE(got.has_value()) << k.first << "/" << k.second;
       ASSERT_EQ(*got, child);
@@ -327,15 +371,15 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
     for (int i = 0; i < 256 && !removed.empty(); ++i) {
       const Key& k = removed[rng.below(removed.size())];
       ASSERT_EQ(store.mem_lookup(ObjectId(k.first), k.second),
-                lookup(ref_mem, k));
+                lookup(ref_mem.dentries, k));
       ASSERT_EQ(store.stable_lookup(ObjectId(k.first), k.second),
-                lookup(ref_stable, k));
+                lookup(ref_stable.dentries, k));
     }
     const auto dump = store.stable_dentries();
-    ASSERT_EQ(dump.size(), ref_stable.size());
-    ASSERT_EQ(store.stable_dentry_count(), ref_stable.size());
+    ASSERT_EQ(dump.size(), ref_stable.dentries.size());
+    ASSERT_EQ(store.stable_dentry_count(), ref_stable.dentries.size());
     std::size_t i = 0;
-    for (const auto& [k, child] : ref_stable) {
+    for (const auto& [k, child] : ref_stable.dentries) {
       ASSERT_EQ(std::get<0>(dump[i]).value(), k.first);
       ASSERT_EQ(std::get<1>(dump[i]), k.second);
       ASSERT_EQ(std::get<2>(dump[i]), child);
@@ -344,14 +388,35 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
     for (std::uint64_t d = 1; d <= kDirs; ++d) {
       const auto listing = store.mem_list_dir(ObjectId(d));
       if (d == 1) max_hot = std::max(max_hot, listing.size());
-      auto it = ref_mem.lower_bound(Key{d, ""});
+      auto it = ref_mem.dentries.lower_bound(Key{d, ""});
       for (const auto& [name, child] : listing) {
-        ASSERT_NE(it, ref_mem.end());
+        ASSERT_NE(it, ref_mem.dentries.end());
         ASSERT_EQ(it->first, (Key{d, name}));
         ASSERT_EQ(it->second, child);
         ++it;
       }
-      ASSERT_TRUE(it == ref_mem.end() || it->first.first != d);
+      ASSERT_TRUE(it == ref_mem.dentries.end() || it->first.first != d);
+    }
+    // Inodes: point lookups in both views, the ordered dump and the count.
+    for (const auto& [id, ino] : ref_mem.inodes) {
+      ASSERT_EQ(store.mem_inode(ObjectId(id)), ino) << id;
+    }
+    for (const auto& [id, ino] : ref_stable.inodes) {
+      ASSERT_EQ(store.stable_inode(ObjectId(id)), ino) << id;
+    }
+    for (int j = 0; j < 256 && !removed_inodes.empty(); ++j) {
+      const std::uint64_t id = removed_inodes[rng.below(removed_inodes.size())];
+      ASSERT_EQ(store.mem_inode(ObjectId(id)), inode_of(ref_mem, id)) << id;
+      ASSERT_EQ(store.stable_inode(ObjectId(id)), inode_of(ref_stable, id))
+          << id;
+    }
+    const std::vector<Inode> inodes = store.stable_inodes();
+    ASSERT_EQ(inodes.size(), ref_stable.inodes.size());
+    ASSERT_EQ(store.stable_inode_count(), ref_stable.inodes.size());
+    i = 0;
+    for (const auto& [id, ino] : ref_stable.inodes) {
+      ASSERT_EQ(inodes[i], ino);
+      ++i;
     }
   };
 
@@ -363,29 +428,55 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
     std::vector<Operation> ops;
     std::size_t victim = live.size();
     const std::uint64_t r = rng.below(100);
-    if (live.empty() || r < create_share) {
+    if (!live.empty() && rng.below(10) == 0) {
+      // Attribute transaction on a live inode: touch it, or move its link
+      // count without reaching zero.
+      const ObjectId child = ref_mem.dentries.at(live[rng.below(live.size())]);
+      const std::uint32_t nlink = ref_mem.inodes.at(child.value()).nlink;
+      ops.push_back(Operation{OpType::kSetAttr, child, ObjectId{}, ""});
+      const std::uint64_t link = rng.below(3);
+      if (link == 1 && nlink < 3) {
+        ops.push_back(Operation{OpType::kIncLink, child, ObjectId{}, ""});
+      } else if (link == 2 && nlink > 1) {
+        ops.push_back(Operation{OpType::kDecLink, child, ObjectId{}, ""});
+      }
+    } else if (live.empty() || r < create_share) {
       Key k{pick_dir(), ""};
       // Every fifth create reuses a removed name when it is free again.
       if (!removed.empty() && rng.below(5) == 0) {
         const Key& old = removed[rng.below(removed.size())];
-        if (!ref_mem.contains(old)) k = old;
+        if (!ref_mem.dentries.contains(old)) k = old;
       }
       if (k.second.empty()) k.second = fresh_name();
-      ops.push_back(Operation{OpType::kAddDentry, ObjectId(k.first),
-                              ObjectId(next_child++), k.second});
+      const ObjectId child(next_child++);
+      ops.push_back(Operation{OpType::kCreateInode, child, ObjectId{}, ""});
+      ops.push_back(Operation{OpType::kIncLink, child, ObjectId{}, ""});
+      ops.push_back(
+          Operation{OpType::kAddDentry, ObjectId(k.first), child, k.second});
     } else {
       victim = rng.below(live.size());
       const Key from = live[victim];
-      const ObjectId child = ref_mem.at(from);
+      const ObjectId child = ref_mem.dentries.at(from);
       ops.push_back(Operation{OpType::kRemoveDentry, ObjectId(from.first),
                               child, from.second});
       if (r < create_share + 15) {  // rename, possibly keeping the name
         Key to{pick_dir(), from.second};
-        if (rng.below(2) == 0 || (to != from && ref_mem.contains(to))) {
+        if (rng.below(2) == 0 ||
+            (to != from && ref_mem.dentries.contains(to))) {
           to.second = fresh_name();
         }
         ops.push_back(Operation{OpType::kAddDentry, ObjectId(to.first), child,
                                 to.second});
+        if (rng.below(2) == 0) {
+          ops.push_back(Operation{OpType::kSetAttr, child, ObjectId{}, ""});
+        }
+      } else {
+        // Unlink drops the inode: its last link, or the inode outright.
+        const bool last_link =
+            ref_mem.inodes.at(child.value()).nlink == 1 && rng.below(2) == 0;
+        ops.push_back(Operation{
+            last_link ? OpType::kDecLink : OpType::kRemoveInode, child,
+            ObjectId{}, ""});
       }
     }
     for (const Operation& op : ops) {
@@ -414,6 +505,9 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
         if (op.type == OpType::kAddDentry) {
           live.emplace_back(op.target.value(), op.name);
         }
+        if (op.type == OpType::kRemoveInode || op.type == OpType::kDecLink) {
+          removed_inodes.push_back(op.target.value());
+        }
       }
     }
     // The force completes later; stable state follows commit order.
@@ -427,12 +521,16 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
       // unflushed ones durable in the log; recovery replays that prefix.
       ++txn;
       const Key cached{1, fresh_name()};
+      const ObjectId cached_child(next_child++);
+      ASSERT_EQ(store.apply(txn, Operation{OpType::kCreateInode, cached_child,
+                                           ObjectId{}, ""}),
+                StoreStatus::kOk);
       ASSERT_EQ(store.apply(txn, Operation{OpType::kAddDentry,
                                            ObjectId(cached.first),
-                                           ObjectId(next_child++),
-                                           cached.second}),
+                                           cached_child, cached.second}),
                 StoreStatus::kOk);
       removed.push_back(cached);
+      removed_inodes.push_back(cached_child.value());
       const std::size_t durable = rng.below(unflushed.size() + 1);
       store.crash();
       for (std::size_t i = 0; i < durable; ++i) {
@@ -449,7 +547,7 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
       ASSERT_TRUE(store.pending_ops(txn).empty());
       ref_mem = ref_stable;
       live.clear();
-      for (const auto& [k, child] : ref_mem) live.push_back(k);
+      for (const auto& [k, child] : ref_mem.dentries) live.push_back(k);
       ASSERT_NO_FATAL_FAILURE(check());
     } else if (round % 500 == 0) {
       ASSERT_NO_FATAL_FAILURE(check());
@@ -462,6 +560,8 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
   ASSERT_EQ(ref_mem, ref_stable);
   // The hot directory's index grew from 8 slots to at least 4096.
   EXPECT_GE(max_hot, 2048u);
+  // Most mid-run checkpoints saw the stable view through undo records.
+  EXPECT_GE(checks_in_flight, 10u);
 }
 
 // --- Lock manager vs a FIFO reference model --------------------------------

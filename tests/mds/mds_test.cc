@@ -141,6 +141,143 @@ TEST(StoreTest, DirectoryConventionInCreateInode) {
 
 // ---------------------------------------------------------------------------
 
+// --- Undo records: conflicting unflushed 1PC transactions ----------------
+//
+// The 1PC coordinator makes a transaction visible (commit_mem) before its
+// commit force, so later transactions may overwrite the same key while the
+// earlier one is still unflushed.  Each undo record keeps the pre-image its
+// own transaction overwrote; a crash at any point must land exactly on the
+// flushed prefix, with mem and stable agreeing.
+
+/// Runs `chain` as unflushed transactions 10, 11, ... on a fresh store: for
+/// every prefix, optionally flushes the oldest, checks the stable view
+/// mid-flight, crashes, and checks that mem == stable == `after[flushed]`.
+/// `after[i]` is the observed state once the first i transactions applied;
+/// `view` reads it from the store (mem or stable).
+template <class State, class View>
+void crash_through_chain(const std::vector<std::vector<Operation>>& chain,
+                         const std::vector<State>& after, View view) {
+  for (std::size_t steps = 1; steps <= chain.size(); ++steps) {
+    for (std::size_t flushed = 0; flushed <= 1; ++flushed) {
+      SCOPED_TRACE("steps " + std::to_string(steps) + ", flushed " +
+                   std::to_string(flushed));
+      StoreFixture f;
+      f.store.bootstrap_inode(Inode{ObjectId(7), false, 0, 0});
+      for (std::size_t i = 0; i < steps; ++i) {
+        for (const Operation& o : chain[i]) {
+          ASSERT_EQ(f.store.apply(10 + i, o), StoreStatus::kOk);
+        }
+        f.store.commit_mem(10 + i);
+      }
+      if (flushed == 1) f.store.commit_stable(10);
+      EXPECT_EQ(view(f.store, /*stable=*/false), after[steps]);
+      EXPECT_EQ(view(f.store, /*stable=*/true), after[flushed]);
+      EXPECT_EQ(f.store.unflushed_txns(), steps - flushed);
+      f.store.crash();
+      EXPECT_EQ(f.store.unflushed_txns(), 0u);
+      EXPECT_EQ(view(f.store, /*stable=*/false), after[flushed]);
+      EXPECT_EQ(view(f.store, /*stable=*/true), after[flushed]);
+    }
+  }
+}
+
+TEST(StoreTest, CrashUndoesConflictingChainOnOneName) {
+  // A adds x, B removes it, C re-adds it with another child.
+  const std::vector<std::vector<Operation>> chain{
+      {op(OpType::kAddDentry, 1, "x", 5)},
+      {op(OpType::kRemoveDentry, 1, "x", 5)},
+      {op(OpType::kAddDentry, 1, "x", 6)}};
+  const std::vector<std::optional<ObjectId>> after{
+      std::nullopt, ObjectId(5), std::nullopt, ObjectId(6)};
+  crash_through_chain(chain, after, [](const MetaStore& s, bool stable) {
+    const auto child = stable ? s.stable_lookup(ObjectId(1), "x")
+                              : s.mem_lookup(ObjectId(1), "x");
+    if (stable) {
+      // The dump agrees with the point read.
+      const auto dump = s.stable_dentries();
+      EXPECT_EQ(s.stable_dentry_count(), dump.size());
+      EXPECT_EQ(dump.size(), child.has_value() ? 1u : 0u);
+      if (child.has_value() && dump.size() == 1) {
+        EXPECT_EQ(std::get<2>(dump.front()), *child);
+      }
+    } else {
+      EXPECT_EQ(s.mem_list_dir(ObjectId(1)).size(),
+                child.has_value() ? 1u : 0u);
+    }
+    return child;
+  });
+}
+
+TEST(StoreTest, CrashUndoesConflictingChainOnOneInode) {
+  // One transaction links and touches inode 7, the next drops its last
+  // link (removing it).
+  const std::vector<std::vector<Operation>> chain{
+      {op(OpType::kIncLink, 7), op(OpType::kSetAttr, 7)},
+      {op(OpType::kDecLink, 7)}};
+  const std::vector<std::optional<Inode>> after{
+      Inode{ObjectId(7), false, 0, 0}, Inode{ObjectId(7), false, 1, 1},
+      std::nullopt};
+  crash_through_chain(chain, after, [](const MetaStore& s, bool stable) {
+    const auto ino =
+        stable ? s.stable_inode(ObjectId(7)) : s.mem_inode(ObjectId(7));
+    if (stable) {
+      // The dump agrees with the point read: root plus inode 7, if any.
+      const std::vector<Inode> dump = s.stable_inodes();
+      EXPECT_EQ(s.stable_inode_count(), dump.size());
+      EXPECT_EQ(dump.size(), ino.has_value() ? 2u : 1u);
+      if (ino.has_value() && dump.size() == 2) {
+        EXPECT_EQ(dump.back(), *ino);
+      }
+    }
+    return ino;
+  });
+}
+
+TEST(StoreTest, CommitTxnAlongsideUnrelatedUnflushedRecord) {
+  StoreFixture f;
+  ASSERT_EQ(f.store.apply(10, op(OpType::kAddDentry, 1, "x", 5)),
+            StoreStatus::kOk);
+  f.store.commit_mem(10);  // 1PC: visible, force still pending
+  ASSERT_EQ(f.store.apply(11, op(OpType::kCreateInode, 9)), StoreStatus::kOk);
+  ASSERT_EQ(f.store.apply(11, op(OpType::kAddDentry, 1, "y", 9)),
+            StoreStatus::kOk);
+  f.store.commit_txn(11);  // durable already: stable at once
+  EXPECT_EQ(f.store.mem_lookup(ObjectId(1), "x"), ObjectId(5));
+  EXPECT_EQ(f.store.mem_lookup(ObjectId(1), "y"), ObjectId(9));
+  EXPECT_FALSE(f.store.stable_lookup(ObjectId(1), "x").has_value());
+  EXPECT_EQ(f.store.stable_lookup(ObjectId(1), "y"), ObjectId(9));
+  EXPECT_TRUE(f.store.stable_inode(ObjectId(9)).has_value());
+  EXPECT_EQ(f.store.stable_dentry_count(), 1u);
+  EXPECT_EQ(f.store.stable_inode_count(), 2u);
+  EXPECT_TRUE(f.store.stable_applied(11));
+  EXPECT_FALSE(f.store.stable_applied(10));
+  f.store.crash();
+  EXPECT_FALSE(f.store.mem_lookup(ObjectId(1), "x").has_value());
+  EXPECT_EQ(f.store.mem_lookup(ObjectId(1), "y"), ObjectId(9));
+  EXPECT_EQ(f.store.mem_inode(ObjectId(9)), f.store.stable_inode(ObjectId(9)));
+  EXPECT_EQ(f.store.stable_dentries().size(), 1u);
+}
+
+TEST(StoreTest, StableOutOfCommitOrderOnOneKeyFailsLoudly) {
+  // B overwrites A's key while A is unflushed; B becoming stable first
+  // would leave an undo record that no longer describes the table.
+  StoreFixture f;
+  ASSERT_EQ(f.store.apply(10, op(OpType::kAddDentry, 1, "x", 5)),
+            StoreStatus::kOk);
+  f.store.commit_mem(10);
+  ASSERT_EQ(f.store.apply(11, op(OpType::kRemoveDentry, 1, "x", 5)),
+            StoreStatus::kOk);
+  f.store.commit_mem(11);
+  EXPECT_DEATH(f.store.commit_stable(11), "older unflushed write");
+  // Unrelated keys may become stable in any order.
+  ASSERT_EQ(f.store.apply(12, op(OpType::kAddDentry, 1, "z", 6)),
+            StoreStatus::kOk);
+  f.store.commit_mem(12);
+  f.store.commit_stable(12);
+  EXPECT_EQ(f.store.stable_lookup(ObjectId(1), "z"), ObjectId(6));
+  EXPECT_FALSE(f.store.stable_lookup(ObjectId(1), "x").has_value());
+}
+
 TEST(PlannerTest, CreateSplitsAcrossTwoNodes) {
   PinnedPartitioner part(2, NodeId(1));
   part.assign(ObjectId(1), NodeId(0));

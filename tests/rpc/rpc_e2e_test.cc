@@ -109,6 +109,17 @@ TEST(RpcE2E, TenThousandOpsOverUdsZeroLost) {
   EXPECT_EQ(msgs, 20001);
   EXPECT_EQ(forces, 23334);
   EXPECT_EQ(folded.aborted, 0u) << "fail share must stay 0";
+
+  // Per-transaction table gauges: quiescent, so every 1PC commit force has
+  // completed and no undo record is left; the two never-pruned tables hold
+  // at least one entry per committed transaction.
+  for (const char* gauge :
+       {"mds.unflushed", "mds.stable_applied", "acp.finished"}) {
+    EXPECT_TRUE(folded.stats.all().contains(gauge)) << gauge;
+  }
+  EXPECT_EQ(folded.stats.get("mds.unflushed"), 0);
+  EXPECT_GE(folded.stats.get("mds.stable_applied"), txns);
+  EXPECT_GE(folded.stats.get("acp.finished"), txns);
 }
 
 // Wide creates over the wire (ISSUE 10): kCreateSpread requests plan one
