@@ -46,11 +46,10 @@ int main(int argc, char** argv) {
     const ObjectId dir = ids.next();
     dirs.push_back(dir);
     submit(planner.plan_create(root, "dir" + std::to_string(d), dir,
-                               /*is_dir=*/true, static_cast<std::uint64_t>(d)));
+                               /*is_dir=*/true));
     for (int f = 0; f < n_files; ++f) {
       submit(planner.plan_create(dir, "file" + std::to_string(f), ids.next(),
-                                 false,
-                                 static_cast<std::uint64_t>(d * 100 + f)));
+                                 false));
     }
   }
 

@@ -78,10 +78,6 @@ void Cluster::schedule_crash(NodeId id, Duration after,
   });
 }
 
-void Cluster::schedule_reboot(NodeId id, Duration after) {
-  env_.schedule_after(after, [this, id] { reboot_node(id); });
-}
-
 void Cluster::schedule_partition(NodeId a, NodeId b, Duration from,
                                  Duration until, bool asymmetric) {
   env_.schedule_after(from, [this, a, b, asymmetric] {

@@ -106,8 +106,6 @@ class Cluster {
                    std::function<void()> on_recovered = nullptr);
   void schedule_crash(NodeId id, Duration after,
                       Duration reboot_after = Duration::zero());
-  /// Powers the node back on at now+after (no-op if up or STONITH-held).
-  void schedule_reboot(NodeId id, Duration after);
   void partition_pair(NodeId a, NodeId b) { network().sever_pair(a, b); }
   void heal_pair(NodeId a, NodeId b) { network().heal_pair(a, b); }
   /// Severs a<->b (or only a->b when `asymmetric`) during [from, until).

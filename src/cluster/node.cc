@@ -1,7 +1,5 @@
 #include "cluster/node.h"
 
-#include "fs/rpc.h"
-
 namespace opc {
 namespace {
 constexpr const char* kHeartbeatKind = "HB";
@@ -61,47 +59,7 @@ void MdsNode::on_envelope(Envelope env) {
     }
     return;
   }
-  if (env.kind == kFsRpcKind) {
-    handle_fs_rpc(env);
-    return;
-  }
   engine_.on_message(std::move(env));
-}
-
-void MdsNode::handle_fs_rpc(const Envelope& env) {
-  const FsRpc& rpc = *env.payload.get<FsRpc>();
-  FsRpcReply reply;
-  reply.req_id = rpc.req_id;
-  // Reads are served from the current (mem) view — they see logically
-  // committed state, including 1PC commits whose stable flush is pending.
-  switch (rpc.op) {
-    case FsRpcOp::kLookup: {
-      const auto child = store_.mem_lookup(rpc.target, rpc.name);
-      reply.found = child.has_value();
-      if (child) reply.child = *child;
-      break;
-    }
-    case FsRpcOp::kStat: {
-      const auto ino = store_.mem_inode(rpc.target);
-      reply.found = ino.has_value();
-      if (ino) reply.inode = *ino;
-      break;
-    }
-    case FsRpcOp::kReaddir: {
-      const auto dir = store_.mem_inode(rpc.target);
-      reply.found = dir.has_value() && dir->is_dir;
-      if (reply.found) reply.entries = store_.mem_list_dir(rpc.target);
-      break;
-    }
-  }
-  stats_.add("fs.rpcs");
-  Envelope out;
-  out.from = id_;
-  out.to = env.from;
-  out.kind = kFsRpcReplyKind;
-  out.size_bytes = 128 + reply.entries.size() * 32;
-  out.payload.emplace<FsRpcReply>(std::move(reply));
-  net_.send(std::move(out));
 }
 
 void MdsNode::schedule_heartbeat() {

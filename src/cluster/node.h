@@ -61,7 +61,6 @@ class MdsNode {
 
  private:
   void on_envelope(Envelope env);
-  void handle_fs_rpc(const Envelope& env);
   void schedule_heartbeat();
   void schedule_sweep();
 

@@ -31,11 +31,10 @@ void NamespacePlanner::add_op(Transaction& txn, NodeId coordinator,
 
 Transaction NamespacePlanner::plan_create(ObjectId parent_dir,
                                           const std::string& name,
-                                          ObjectId new_inode, bool is_dir,
-                                          std::uint64_t hint) {
+                                          ObjectId new_inode, bool is_dir) {
   SIM_CHECK(parent_dir.valid() && new_inode.valid());
   const NodeId coord = part_.home_of(parent_dir);
-  const NodeId child_home = part_.place_child(parent_dir, new_inode, hint);
+  const NodeId child_home = part_.place_child(parent_dir, new_inode);
 
   Transaction txn;
   txn.kind = NamespaceOpKind::kCreate;
@@ -103,14 +102,13 @@ Transaction NamespacePlanner::plan_rename(ObjectId src_dir,
 
 Transaction NamespacePlanner::plan_create_batch(
     ObjectId parent_dir,
-    const std::vector<std::pair<std::string, ObjectId>>& entries,
-    std::uint64_t hint) {
+    const std::vector<std::pair<std::string, ObjectId>>& entries) {
   SIM_CHECK(parent_dir.valid() && !entries.empty());
   const NodeId coord = part_.home_of(parent_dir);
   Transaction txn;
   txn.kind = NamespaceOpKind::kCreate;
   for (const auto& [name, inode] : entries) {
-    const NodeId child_home = part_.place_child(parent_dir, inode, hint);
+    const NodeId child_home = part_.place_child(parent_dir, inode);
     add_op(txn, coord, coord,
            Operation{OpType::kAddDentry, parent_dir, inode, name,
                      costs_.dentry_log_bytes, costs_.method_compute});
@@ -157,17 +155,6 @@ Transaction NamespacePlanner::plan_stat(ObjectId inode) {
   add_op(txn, coord, coord,
          Operation{OpType::kReadAttr, inode, kNoObject, "",
                    /*log_bytes=*/0, costs_.method_compute});
-  return txn;
-}
-
-Transaction NamespacePlanner::plan_setattr(ObjectId inode) {
-  SIM_CHECK(inode.valid());
-  const NodeId coord = part_.home_of(inode);
-  Transaction txn;
-  txn.kind = NamespaceOpKind::kCustom;
-  add_op(txn, coord, coord,
-         Operation{OpType::kSetAttr, inode, kNoObject, "",
-                   costs_.inode_log_bytes, costs_.method_compute});
   return txn;
 }
 

@@ -27,7 +27,6 @@ namespace opc {
 class IdAllocator {
  public:
   [[nodiscard]] ObjectId next() { return ObjectId(next_++); }
-  [[nodiscard]] std::uint64_t peek() const { return next_; }
 
  private:
   std::uint64_t next_ = 1;
@@ -48,12 +47,10 @@ class NamespacePlanner {
       : part_(partitioner), costs_(costs) {}
 
   /// CREATE `name` in `parent_dir`; the new inode id must come from the
-  /// IdAllocator.  `is_dir` plans a mkdir.  `hint` feeds randomized
-  /// placement policies deterministically.
+  /// IdAllocator.  `is_dir` plans a mkdir.
   [[nodiscard]] Transaction plan_create(ObjectId parent_dir,
                                         const std::string& name,
-                                        ObjectId new_inode, bool is_dir,
-                                        std::uint64_t hint = 0);
+                                        ObjectId new_inode, bool is_dir);
 
   /// DELETE `name` (referring to `inode`) from `parent_dir`.
   [[nodiscard]] Transaction plan_delete(ObjectId parent_dir,
@@ -69,9 +66,6 @@ class NamespacePlanner {
                                         ObjectId inode,
                                         std::optional<ObjectId> overwritten);
 
-  /// Local attribute touch (always single-participant).
-  [[nodiscard]] Transaction plan_setattr(ObjectId inode);
-
   /// Read-only attribute lookup (stat): single participant, shared lock,
   /// no log writes at all — the engine's read fast path.
   [[nodiscard]] Transaction plan_stat(ObjectId inode);
@@ -81,8 +75,7 @@ class NamespacePlanner {
   /// once and the protocol overhead is paid once per batch.
   [[nodiscard]] Transaction plan_create_batch(
       ObjectId parent_dir,
-      const std::vector<std::pair<std::string, ObjectId>>& entries,
-      std::uint64_t hint = 0);
+      const std::vector<std::pair<std::string, ObjectId>>& entries);
 
   /// N-participant CREATE: entry k is created in `parent_dir` with its
   /// inode hosted at `homes[k]` (explicit placement, bypassing the

@@ -8,15 +8,15 @@
 //     a fraction (n-1)/n of creates is distributed.  This reproduces the
 //     paper's motivating scenario of spreading one hot directory's files
 //     over all servers.
-//   * LocalityPartitioner — keeps a child on its parent directory's MDS
-//     with probability `locality`, spilling the rest uniformly (Ceph-style
-//     locality; used by the distributed-fraction ablation).
+//   * PinnedPartitioner — explicit per-object homes with a default home for
+//     new children; the Figure 6 reproduction pins the hot directory and
+//     its new inodes to different MDSs so every create is distributed.
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 
 #include "net/types.h"
-#include "sim/rng.h"
 #include "txn/types.h"
 
 namespace opc {
@@ -29,10 +29,9 @@ class Partitioner {
   [[nodiscard]] virtual NodeId home_of(ObjectId obj) const = 0;
 
   /// Chooses (and remembers, if stateful) the MDS for a new child of
-  /// `parent_dir`.  `hint` allows deterministic randomized policies.
+  /// `parent_dir`.
   [[nodiscard]] virtual NodeId place_child(ObjectId parent_dir,
-                                           ObjectId child,
-                                           std::uint64_t hint) = 0;
+                                           ObjectId child) = 0;
 
   [[nodiscard]] virtual std::uint32_t cluster_size() const = 0;
 };
@@ -45,8 +44,7 @@ class HashPartitioner final : public Partitioner {
   [[nodiscard]] NodeId home_of(ObjectId obj) const override {
     return NodeId(static_cast<std::uint32_t>(mix(obj.value()) % n_));
   }
-  [[nodiscard]] NodeId place_child(ObjectId, ObjectId child,
-                                   std::uint64_t) override {
+  [[nodiscard]] NodeId place_child(ObjectId, ObjectId child) override {
     return home_of(child);
   }
   [[nodiscard]] std::uint32_t cluster_size() const override { return n_; }
@@ -61,30 +59,6 @@ class HashPartitioner final : public Partitioner {
     return x;
   }
   std::uint32_t n_;
-};
-
-/// Parent-affine placement with a tunable spill fraction.  Stateful: it
-/// remembers every placement so home_of() stays consistent.
-class LocalityPartitioner final : public Partitioner {
- public:
-  /// `locality` = probability a new child lands on its parent's MDS.
-  LocalityPartitioner(std::uint32_t n_servers, double locality,
-                      std::uint64_t seed)
-      : n_(n_servers), locality_(locality), rng_(seed, /*stream=*/0x10CA1) {}
-
-  [[nodiscard]] NodeId home_of(ObjectId obj) const override;
-  [[nodiscard]] NodeId place_child(ObjectId parent_dir, ObjectId child,
-                                   std::uint64_t hint) override;
-  [[nodiscard]] std::uint32_t cluster_size() const override { return n_; }
-
-  /// Pre-assigns the home of an object (roots, bootstrapped trees).
-  void assign(ObjectId obj, NodeId home) { placed_[obj] = home; }
-
- private:
-  std::uint32_t n_;
-  double locality_;
-  Rng rng_;
-  std::unordered_map<ObjectId, NodeId> placed_;
 };
 
 /// Fully explicit placement with a default home for new children.  The
@@ -103,8 +77,7 @@ class PinnedPartitioner final : public Partitioner {
     auto it = placed_.find(obj);
     return it != placed_.end() ? it->second : default_child_home_;
   }
-  [[nodiscard]] NodeId place_child(ObjectId, ObjectId child,
-                                   std::uint64_t) override {
+  [[nodiscard]] NodeId place_child(ObjectId, ObjectId child) override {
     auto it = placed_.find(child);
     if (it != placed_.end()) return it->second;
     placed_[child] = default_child_home_;

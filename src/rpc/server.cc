@@ -488,8 +488,7 @@ void RpcServer::submit_on_worker(const ConnPtr& c, MsgType op,
     case MsgType::kMkdir: {
       created = mint_inode(self.value(), minted_[self.value()].units++);
       txn = planner_.plan_create(ObjectId(dir), name, ObjectId(created),
-                                 /*is_dir=*/op == MsgType::kMkdir,
-                                 /*hint=*/id);
+                                 /*is_dir=*/op == MsgType::kMkdir);
       break;
     }
     case MsgType::kCreateSpread: {

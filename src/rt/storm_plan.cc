@@ -30,8 +30,7 @@ StormPlan make_storm_plan(std::uint32_t n_nodes, std::uint32_t ops_per_node,
         const std::string name =
             "f" + std::to_string(i) + "_" + std::to_string(j);
         plan.per_node[i].push_back(planner.plan_create(
-            plan.dirs[i], name, part.inode_id(i, j), /*is_dir=*/false,
-            /*hint=*/j));
+            plan.dirs[i], name, part.inode_id(i, j), /*is_dir=*/false));
         continue;
       }
       std::vector<std::pair<std::string, ObjectId>> entries;

@@ -40,8 +40,7 @@ class StridedPartitioner final : public Partitioner {
     const std::uint64_t k = v - inode_base();
     return NodeId(static_cast<std::uint32_t>((k % n_ + 1) % n_));
   }
-  [[nodiscard]] NodeId place_child(ObjectId, ObjectId child,
-                                   std::uint64_t) override {
+  [[nodiscard]] NodeId place_child(ObjectId, ObjectId child) override {
     return home_of(child);
   }
   [[nodiscard]] std::uint32_t cluster_size() const override { return n_; }

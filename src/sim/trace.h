@@ -70,7 +70,6 @@ class TraceRecorder {
 
   explicit TraceRecorder(bool enabled = true) : enabled_(enabled) {}
 
-  void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// True when record() would do anything.  Hot paths that build event

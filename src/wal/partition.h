@@ -133,9 +133,6 @@ class SharedStorage {
 
   [[nodiscard]] LogPartition& partition(NodeId node);
   [[nodiscard]] const LogPartition& partition(NodeId node) const;
-  [[nodiscard]] bool has_partition(NodeId node) const {
-    return parts_.contains(node);
-  }
 
   /// Fences a node: its queued and future writes are rejected.  This is the
   /// STONITH / persistent-reservation effect on the storage side; the

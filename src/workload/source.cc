@@ -102,8 +102,7 @@ bool CreateStormSource::make_txn(Transaction& out, bool /*retry*/) {
   }
   if (batch_ <= 1) {
     const std::string name = prefix_ + std::to_string(counter_++);
-    out = planner_.plan_create(dir_, name, ids_.next(), /*is_dir=*/false,
-                               counter_);
+    out = planner_.plan_create(dir_, name, ids_.next(), /*is_dir=*/false);
     return true;
   }
   std::vector<std::pair<std::string, ObjectId>> entries;
@@ -111,7 +110,7 @@ bool CreateStormSource::make_txn(Transaction& out, bool /*retry*/) {
   for (std::uint32_t i = 0; i < batch_; ++i) {
     entries.emplace_back(prefix_ + std::to_string(counter_++), ids_.next());
   }
-  out = planner_.plan_create_batch(dir_, entries, counter_);
+  out = planner_.plan_create_batch(dir_, entries);
   return true;
 }
 
@@ -183,7 +182,7 @@ void OpenLoopCreateSource::schedule_next() {
     stats_.add("workload.issued");
     const SimTime submitted = env_.now();
     cluster_.submit(
-        planner_.plan_create(dir_, name, ids_.next(), false, issued_),
+        planner_.plan_create(dir_, name, ids_.next(), false),
         [this, submitted](TxnId, TxnOutcome outcome) {
           if (outcome == TxnOutcome::kCommitted) {
             ++committed_;
@@ -267,7 +266,7 @@ bool MixedSource::make_txn(Transaction& out, bool /*retry*/) {
   }
   const std::uint64_t seq = counter_++;
   out = planner_.plan_create(dir, "m" + std::to_string(seq), ids_.next(),
-                             /*is_dir=*/false, seq);
+                             /*is_dir=*/false);
   return true;
 }
 

@@ -121,6 +121,47 @@ TEST_P(AbortParamTest, ConcurrentStormSerializesOnDirectoryLock) {
       << "contention actually exercised the queue";
 }
 
+TEST_P(AbortParamTest, NonEmptyDirectoryDeleteAbortsUntilEmptied) {
+  AbortFixture f(GetParam());
+  auto run = [&](Transaction txn) {
+    TxnOutcome outcome = TxnOutcome::kPending;
+    f.cluster->submit(std::move(txn),
+                      [&](TxnId, TxnOutcome o) { outcome = o; });
+    f.sim.run();
+    return outcome;
+  };
+  // The subdirectory's inode lands on node 1 (the pinned default); the file
+  // inside it is pinned back to node 0, so the nested create is distributed
+  // as well.
+  const ObjectId sub = f.ids.next();
+  const ObjectId file = f.ids.next();
+  f.part->assign(file, NodeId(0));
+  ASSERT_EQ(run(f.planner->plan_create(f.dir, "sub", sub, /*is_dir=*/true)),
+            TxnOutcome::kCommitted);
+  ASSERT_EQ(run(f.planner->plan_create(sub, "file", file, false)),
+            TxnOutcome::kCommitted);
+
+  // Dropping the directory's last link while it holds "file" is vetoed at
+  // its home, so the whole delete aborts and the child survives.
+  EXPECT_EQ(run(f.planner->plan_delete(f.dir, "sub", sub)),
+            TxnOutcome::kAborted);
+  EXPECT_EQ(f.cluster->store(NodeId(0)).stable_lookup(f.dir, "sub"), sub);
+  EXPECT_EQ(f.cluster->store(NodeId(1)).stable_lookup(sub, "file"), file);
+  EXPECT_TRUE(f.cluster->store(NodeId(0)).stable_inode(file).has_value());
+  EXPECT_TRUE(f.cluster->check_invariants({f.dir}).empty());
+
+  // Emptied, the same delete commits.
+  ASSERT_EQ(run(f.planner->plan_delete(sub, "file", file)),
+            TxnOutcome::kCommitted);
+  EXPECT_EQ(run(f.planner->plan_delete(f.dir, "sub", sub)),
+            TxnOutcome::kCommitted);
+  EXPECT_FALSE(
+      f.cluster->store(NodeId(0)).stable_lookup(f.dir, "sub").has_value());
+  EXPECT_FALSE(f.cluster->store(NodeId(1)).stable_inode(sub).has_value());
+  EXPECT_TRUE(f.cluster->check_invariants({f.dir}).empty());
+  EXPECT_TRUE(f.cluster->history()->serializable());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllProtocols, AbortParamTest,
                          ::testing::ValuesIn(kAllProtocolsExt),
                          [](const auto& info) {

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
-#include "fs/rpc.h"
 #include "mds/namespace.h"
 
 namespace opc {
@@ -93,36 +92,6 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, MsgDropTest,
                          [](const auto& info) {
                            return std::string(protocol_name(info.param));
                          });
-
-// Losing a metadata read RPC (or its reply) must surface as kUnreachable at
-// the client after the RPC timeout, never hang.
-TEST(MsgDropTest, LostFsRpcTimesOutCleanly) {
-  Simulator sim;
-  StatsRegistry stats;
-  TraceRecorder trace(false);
-  ClusterConfig cc;
-  cc.n_nodes = 2;
-  Cluster cluster(sim, cc, stats, trace);
-  int drop = 1;
-  cluster.network().set_drop_filter([&](const Envelope& env) {
-    if (drop > 0 && env.kind == "FS_REQ") {
-      --drop;
-      return true;
-    }
-    return false;
-  });
-  // A raw FS RPC via the node's handler path: use an envelope directly.
-  bool answered = false;
-  cluster.network().attach(NodeId(7), [&](Envelope) { answered = true; });
-  Envelope env;
-  env.from = NodeId(7);
-  env.to = NodeId(0);
-  env.kind = "FS_REQ";
-  env.payload.emplace<FsRpc>();
-  cluster.network().send(std::move(env));
-  sim.run();
-  EXPECT_FALSE(answered) << "the request was dropped; no reply may arrive";
-}
 
 }  // namespace
 }  // namespace opc

@@ -69,7 +69,9 @@ TEST(FlatDifferential, MapMatchesUnorderedMapUnderChurn) {
         const std::uint64_t* p = flat.find(key);
         const auto it = ref.find(key);
         ASSERT_EQ(p != nullptr, it != ref.end());
-        if (p != nullptr) ASSERT_EQ(*p, it->second);
+        if (p != nullptr) {
+          ASSERT_EQ(*p, it->second);
+        }
       }
     }
   }
@@ -164,8 +166,8 @@ TEST(FlatDifferential, RehashKeepsObjectIdKeysFindable) {
 // --- MetaStore vs an ordered reference model -------------------------------
 //
 // The chaos checkers equality-compare stable_dentries()/stable_inodes()
-// dumps across crash/recovery, and readdir feeds path resolution: all three
-// depended on std::map's sorted iteration.  Drive the flat-table store and
+// dumps across crash/recovery, and readdir listings are name-ordered: all
+// three depended on std::map's sorted iteration.  Drive the flat-table store and
 // a std::map model through one randomized namespace history and require
 // identical ordered dumps and listings at every commit.
 TEST(FlatDifferential, StoreDumpsMatchOrderedMapModel) {

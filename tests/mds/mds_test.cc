@@ -78,6 +78,14 @@ TEST(StoreTest, ValidationErrors) {
             StoreStatus::kInodeExists);
   EXPECT_EQ(f.store.apply(1, op(OpType::kDecLink, 42)),
             StoreStatus::kInodeNotFound);
+  // A directory that still holds an entry may neither be removed nor lose
+  // its last link.
+  f.store.bootstrap_inode(Inode{ObjectId(3), true, 1, 0});
+  f.store.bootstrap_dentry(ObjectId(3), "child", ObjectId(4));
+  EXPECT_EQ(f.store.apply(1, op(OpType::kRemoveInode, 3)),
+            StoreStatus::kDirNotEmpty);
+  EXPECT_EQ(f.store.apply(1, op(OpType::kDecLink, 3)),
+            StoreStatus::kDirNotEmpty);
 }
 
 TEST(StoreTest, ChildMismatchGuard) {
@@ -379,29 +387,6 @@ TEST(PartitionerTest, HashIsDeterministicAndBalanced) {
     EXPECT_GT(c, 800);
     EXPECT_LT(c, 1200);
   }
-}
-
-TEST(PartitionerTest, LocalityKeepsChildrenHome) {
-  LocalityPartitioner p(4, 1.0, 7);
-  p.assign(ObjectId(1), NodeId(2));
-  for (std::uint64_t i = 10; i < 30; ++i) {
-    EXPECT_EQ(p.place_child(ObjectId(1), ObjectId(i), i), NodeId(2));
-  }
-  LocalityPartitioner q(4, 0.0, 7);
-  q.assign(ObjectId(1), NodeId(2));
-  int away = 0;
-  for (std::uint64_t i = 10; i < 110; ++i) {
-    if (q.place_child(ObjectId(1), ObjectId(i), i) != NodeId(2)) ++away;
-  }
-  EXPECT_GT(away, 60) << "locality=0 spills broadly";
-}
-
-TEST(PartitionerTest, PlacementIsSticky) {
-  LocalityPartitioner p(4, 0.5, 9);
-  p.assign(ObjectId(1), NodeId(0));
-  const NodeId first = p.place_child(ObjectId(1), ObjectId(5), 1);
-  EXPECT_EQ(p.place_child(ObjectId(1), ObjectId(5), 999), first);
-  EXPECT_EQ(p.home_of(ObjectId(5)), first);
 }
 
 // ---------------------------------------------------------------------------
