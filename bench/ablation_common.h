@@ -36,7 +36,7 @@ inline int run_protocol_sweep(const char* title,
       cells, [&](const Cell& c) {
         ExperimentConfig cfg = points[c.point].cfg;
         cfg.cluster.protocol = c.proto;
-        return run_create_storm(cfg);
+        return run_experiment(cfg);
       });
 
   std::printf("=== %s ===\n\n", title);

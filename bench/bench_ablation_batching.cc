@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
         cfg.run_for = Duration::seconds(20);
         cfg.warmup = Duration::seconds(4);
         if (smoke) benchutil::smoke_window(cfg);
-        return run_batched_storm(cfg, c.batch);
+        cfg.batch = c.batch;
+        return run_experiment(cfg);
       });
 
   std::printf("=== Ablation D: operation aggregation (paper SVI future "

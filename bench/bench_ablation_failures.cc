@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
         cfg.cluster.heartbeat.enabled = true;
         cfg.cluster.heartbeat.interval = Duration::millis(50);
         cfg.cluster.heartbeat.suspicion_timeout = Duration::millis(250);
-        return run_create_storm(cfg);
+        return run_experiment(cfg);
       });
 
   std::printf("=== Ablation E: throughput under periodic worker crashes "

@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
         cfg.run_for = Duration::seconds(20);
         cfg.warmup = Duration::seconds(4);
         if (smoke) benchutil::smoke_window(cfg);
-        cfg.n_directories = c.dirs;
+        cfg.n_dirs = c.dirs;
         cfg.cluster.wal.group_commit = c.group_commit;
-        return run_create_storm(cfg);
+        return run_experiment(cfg);
       });
 
   std::printf("=== Ablation F: WAL group commit (paper SVI: interleave log "

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
           rows, [smoke](const PaperRow& row) {
             opc::ExperimentConfig cfg = opc::paper_fig6_config(row.proto);
             if (smoke) opc::benchutil::smoke_window(cfg);
-            return opc::run_create_storm(cfg);
+            return opc::run_experiment(cfg);
           });
 
   const double prn = results[0].ops_per_second;

@@ -14,7 +14,7 @@
 #include "mds/namespace.h"
 #include "sim/simulator.h"
 #include "wal/record.h"
-#include "workload/source.h"
+#include "workload/workload.h"
 
 namespace {
 
@@ -124,18 +124,10 @@ void BM_SimulatedSecondOfStorm(benchmark::State& state) {
     cc.n_nodes = 2;
     cc.protocol = ProtocolKind::kOnePC;
     Cluster cluster(sim, cc, stats, trace);
-    IdAllocator ids;
-    const ObjectId dir = ids.next();
-    PinnedPartitioner part(2, NodeId(1));
-    part.assign(dir, NodeId(0));
-    cluster.bootstrap_directory(dir, NodeId(0));
-    NamespacePlanner planner(part, OpCosts{});
     ThroughputMeter meter;
-    SourceConfig scfg;
-    scfg.concurrency = 100;
-    CreateStormSource source(cluster.env(), cluster, scfg, meter, stats, planner, ids,
-                             dir);
-    source.start();
+    Workload workload(cluster, WorkloadSpec{}, SourceConfig{.concurrency = 100},
+                      meter, stats);
+    workload.start();
     state.ResumeTiming();
     sim.run_until(SimTime::zero() + Duration::seconds(1));
   }

@@ -9,13 +9,12 @@
 #include <map>
 
 #include "cluster/cluster.h"
-#include "mds/namespace.h"
 #include "obs/assembler.h"
 #include "obs/phase.h"
 #include "report/alloc_hook.h"
 #include "sim/simulator.h"
 #include "stats/table.h"
-#include "workload/source.h"
+#include "workload/workload.h"
 
 namespace opc::benchreport {
 namespace {
@@ -87,6 +86,20 @@ std::uint64_t cancel_churn_pass(int batch) {
   return static_cast<std::uint64_t>(batch) * 2;  // cancel + dispatch ops
 }
 
+/// The bench storm's cluster: default costs, one node per participant
+/// (at least two).
+ClusterConfig storm_cluster(ProtocolKind proto, std::uint32_t participants,
+                            obs::PhaseLog* phase_log) {
+  ClusterConfig cc;
+  cc.n_nodes = std::max<std::uint32_t>(2, participants);
+  cc.protocol = proto;
+  cc.phase_log = phase_log;
+  return cc;
+}
+
+/// The paper's 100 concurrent creates.
+constexpr SourceConfig kStormClients{.concurrency = 100};
+
 /// Fixed-seed Figure-6 storm (2 MDSs, 100 concurrent creates): the
 /// workload whose wall-clock speed bounds every sweep in the repo.
 /// Constructed once per bench row, then stepped over successive windows of
@@ -96,26 +109,12 @@ std::uint64_t cancel_churn_pass(int batch) {
 class StormFixture {
  public:
   explicit StormFixture(ProtocolKind proto, std::uint32_t participants = 2)
-      : trace_(false), part_(std::max<std::uint32_t>(2, participants),
-                             NodeId(1)),
-        planner_(part_, OpCosts{}) {
-    cc_.n_nodes = std::max<std::uint32_t>(2, participants);
-    cc_.protocol = proto;
-    cluster_ = std::make_unique<Cluster>(sim_, cc_, stats_, trace_);
-    dir_ = ids_.next();
-    part_.assign(dir_, NodeId(0));
-    cluster_->bootstrap_directory(dir_, NodeId(0));
-    scfg_.concurrency = 100;
-    // participants == 2 keeps the legacy plan_create path; wider storms
-    // spread one create per worker node (same shape as run_create_storm).
-    std::vector<NodeId> spread;
-    for (std::uint32_t w = 1; participants > 2 && w < participants; ++w) {
-      spread.push_back(NodeId(w));
-    }
-    source_ = std::make_unique<CreateStormSource>(
-        cluster_->env(), *cluster_, scfg_, meter_, stats_, planner_, ids_,
-        dir_, "f", /*batch=*/1, std::move(spread));
-    source_->start();
+      : trace_(false),
+        cluster_(sim_, storm_cluster(proto, participants, nullptr), stats_,
+                 trace_),
+        workload_(cluster_, WorkloadSpec{.participants = participants},
+                  kStormClients, meter_, stats_) {
+    workload_.start();
   }
 
   /// Advances one window of simulated time.  Returns kernel events
@@ -137,15 +136,9 @@ class StormFixture {
   Simulator sim_;
   StatsRegistry stats_;
   TraceRecorder trace_;
-  ClusterConfig cc_;
-  std::unique_ptr<Cluster> cluster_;
-  IdAllocator ids_;
-  ObjectId dir_;
-  PinnedPartitioner part_;
-  NamespacePlanner planner_;
+  Cluster cluster_;
   ThroughputMeter meter_;
-  SourceConfig scfg_;
-  std::unique_ptr<CreateStormSource> source_;
+  Workload workload_;
   SimTime deadline_ = SimTime::zero();
 };
 
@@ -177,23 +170,11 @@ std::vector<PhaseBreakdownSample> storm_phase_breakdown(double sim_seconds) {
   StatsRegistry stats;
   TraceRecorder trace(true);  // instrumented pass, never a timed region
   obs::PhaseLog phases;
-  ClusterConfig cc;
-  cc.n_nodes = 2;
-  cc.protocol = ProtocolKind::kOnePC;
-  cc.phase_log = &phases;
-  Cluster cluster(sim, cc, stats, trace);
-  IdAllocator ids;
-  const ObjectId dir = ids.next();
-  PinnedPartitioner part(2, NodeId(1));
-  part.assign(dir, NodeId(0));
-  cluster.bootstrap_directory(dir, NodeId(0));
-  NamespacePlanner planner(part, OpCosts{});
+  Cluster cluster(sim, storm_cluster(ProtocolKind::kOnePC, 2, &phases), stats,
+                  trace);
   ThroughputMeter meter;
-  SourceConfig scfg;
-  scfg.concurrency = 100;
-  CreateStormSource source(cluster.env(), cluster, scfg, meter, stats, planner, ids,
-                           dir);
-  source.start();
+  Workload workload(cluster, WorkloadSpec{}, kStormClients, meter, stats);
+  workload.start();
   sim.run_until(SimTime::zero() + Duration::from_seconds_f(sim_seconds));
 
   const obs::SpanSet spans = obs::assemble_spans(trace.events(), &phases);

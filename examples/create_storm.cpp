@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
                                      std::end(kAllProtocols));
     const auto results = ParallelSweep::map<ProtocolKind, ExperimentResult>(
         protos, [&](const ProtocolKind& p) {
-          return run_create_storm(config(p));
+          return run_experiment(config(p));
         });
     for (std::size_t i = 0; i < protos.size(); ++i) {
       report(results[i], protos[i]);
@@ -86,6 +86,6 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  report(run_create_storm(config(proto)), proto);
+  report(run_experiment(config(proto)), proto);
   return 0;
 }

@@ -9,9 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "mds/namespace.h"
 #include "stats/table.h"
-#include "workload/source.h"
+#include "workload/workload.h"
 
 int main(int argc, char** argv) {
   using namespace opc;
@@ -30,23 +29,14 @@ int main(int argc, char** argv) {
   cfg.seed = seed;
   Cluster cluster(sim, cfg, stats, trace);
 
-  IdAllocator ids;
-  HashPartitioner part(4);
-  NamespacePlanner planner(part, OpCosts{});
-  std::vector<ObjectId> dirs;
-  for (int i = 0; i < 8; ++i) {
-    const ObjectId dir = ids.next();
-    dirs.push_back(dir);
-    cluster.bootstrap_directory(dir, part.home_of(dir));
-  }
-
   ThroughputMeter meter;
-  SourceConfig scfg;
-  scfg.concurrency = 8;
-  scfg.max_ops = total_ops;
-  MixedSource source(cluster.env(), cluster, scfg, meter, stats, planner, ids, dirs,
-                     MixedSource::Mix{0.55, 0.30}, seed);
-  source.start();
+  Workload workload(cluster,
+                    WorkloadSpec{.shape = WorkloadShape::kMixed,
+                                 .n_dirs = 8,
+                                 .mix = {0.55, 0.30}},
+                    SourceConfig{.concurrency = 8, .max_ops = total_ops},
+                    meter, stats);
+  workload.start();
   sim.run();
 
   std::printf("=== namespace explorer: %llu mixed operations over 4 MDSs "
@@ -75,13 +65,13 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.get("acp.submitted") -
                                      stats.get("acp.local")));
   std::printf("committed=%llu aborted=%llu   elapsed(sim)=%s   %.1f ops/s\n",
-              static_cast<unsigned long long>(source.committed()),
-              static_cast<unsigned long long>(source.aborted()),
+              static_cast<unsigned long long>(workload.committed()),
+              static_cast<unsigned long long>(workload.aborted()),
               to_string(sim.now()).c_str(),
-              static_cast<double>(source.committed()) /
+              static_cast<double>(workload.committed()) /
                   sim.now().to_seconds_f());
 
-  const auto violations = cluster.check_invariants(dirs);
+  const auto violations = cluster.check_invariants(workload.dirs());
   std::printf("invariants: %s\n",
               violations.empty() ? "clean" : render_violations(violations).c_str());
   const bool serializable = cluster.history()->serializable();

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "core/sweep.h"
-#include "workload/source.h"
 
 namespace opc {
 namespace {
@@ -132,39 +131,12 @@ FaultSchedule random_schedule(Rng& rng, const ChaosRunConfig& base,
 
 std::vector<FaultSchedule> enumerate_crash_points(const ChaosRunConfig& base,
                                                   std::uint32_t limit) {
-  // Fault-free probe run: same cluster + workload as run_schedule, traced,
+  // Fault-free probe run: the same cluster + workload as run_schedule,
   // stopped at the measurement window (no drain or checking needed).
-  Simulator sim;
-  StatsRegistry stats;
-  TraceRecorder trace(true);
-  ClusterConfig cc;
-  cc.n_nodes = base.n_nodes;
-  cc.protocol = base.protocol;
-  cc.seed = base.seed;
-  cc.acp.response_timeout = Duration::millis(300);
-  cc.acp.retry_interval = Duration::millis(100);
-  cc.heartbeat.enabled = true;
-  cc.heartbeat.interval = Duration::millis(50);
-  cc.heartbeat.suspicion_timeout = Duration::millis(250);
-  Cluster cluster(sim, cc, stats, trace);
-  IdAllocator ids;
-  HashPartitioner part(base.n_nodes);
-  NamespacePlanner planner(part, OpCosts{});
-  std::vector<ObjectId> dirs;
-  for (std::uint32_t i = 0; i < base.n_dirs; ++i) {
-    const ObjectId dir = ids.next();
-    dirs.push_back(dir);
-    cluster.bootstrap_directory(dir, part.home_of(dir));
-  }
-  ThroughputMeter meter;
-  SourceConfig scfg;
-  scfg.concurrency = base.concurrency;
-  scfg.client_timeout = Duration::seconds(1);
-  MixedSource source(cluster.env(), cluster, scfg, meter, stats, planner, ids, dirs,
-                     MixedSource::Mix{0.6, 0.25}, base.seed);
-  source.start();
-  sim.run_until(SimTime::zero() + base.run_for);
-  source.stop();
+  ChaosSim probe(base, nullptr);
+  probe.workload.start();
+  probe.sim.run_until(SimTime::zero() + base.run_for);
+  probe.workload.stop();
 
   // Every (kind, actor) pair's first few occurrences is one crash point:
   // "power off that node right as this history point is reached".
@@ -174,7 +146,7 @@ std::vector<FaultSchedule> enumerate_crash_points(const ChaosRunConfig& base,
   constexpr std::uint32_t kPerPairCap = 3;  // first N occurrences each
   std::map<std::pair<TraceKind, std::string>, std::uint32_t> seen;
   std::vector<FaultSchedule> out;
-  for (const TraceEvent& ev : trace.events()) {
+  for (const TraceEvent& ev : probe.trace.events()) {
     if (out.size() >= limit) break;
     if (std::find(std::begin(kinds), std::end(kinds), ev.kind) ==
         std::end(kinds)) {

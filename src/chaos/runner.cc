@@ -26,20 +26,8 @@ bool parse_protocol(const std::string& s, ProtocolKind& out) {
   return false;
 }
 
-}  // namespace
-
-ChaosRunResult run_schedule(const ChaosRunConfig& cfg,
-                            const FaultSchedule& schedule) {
-  return run_schedule(cfg, schedule, nullptr);
-}
-
-ChaosRunResult run_schedule(const ChaosRunConfig& cfg,
-                            const FaultSchedule& schedule,
-                            obs::RunReport* report) {
-  Simulator sim;
-  StatsRegistry stats;
-  TraceRecorder trace(true);  // hashes + trigger observers need the trace
-
+ClusterConfig chaos_cluster_config(const ChaosRunConfig& cfg,
+                                   obs::PhaseLog* phase_log) {
   ClusterConfig cc;
   cc.n_nodes = cfg.n_nodes;
   cc.protocol = cfg.protocol;
@@ -51,37 +39,47 @@ ChaosRunResult run_schedule(const ChaosRunConfig& cfg,
   cc.heartbeat.enabled = true;
   cc.heartbeat.interval = Duration::millis(50);
   cc.heartbeat.suspicion_timeout = Duration::millis(250);
+  cc.phase_log = phase_log;
+  return cc;
+}
+
+}  // namespace
+
+ChaosSim::ChaosSim(const ChaosRunConfig& cfg, obs::PhaseLog* phase_log)
+    : cluster(sim, chaos_cluster_config(cfg, phase_log), stats, trace),
+      workload(cluster,
+               WorkloadSpec{.shape = WorkloadShape::kMixed,
+                            .n_dirs = cfg.n_dirs,
+                            .participants = cfg.participants,
+                            .mix = {0.6, 0.25}},
+               SourceConfig{.concurrency = cfg.concurrency,
+                            .client_timeout = Duration::seconds(1)},
+               meter, stats) {}
+
+ChaosRunResult run_schedule(const ChaosRunConfig& cfg,
+                            const FaultSchedule& schedule) {
+  return run_schedule(cfg, schedule, nullptr);
+}
+
+ChaosRunResult run_schedule(const ChaosRunConfig& cfg,
+                            const FaultSchedule& schedule,
+                            obs::RunReport* report) {
   obs::PhaseLog phase_log;
-  if (report != nullptr) cc.phase_log = &phase_log;
-  Cluster cluster(sim, cc, stats, trace);
+  ChaosSim world(cfg, report != nullptr ? &phase_log : nullptr);
+  Simulator& sim = world.sim;
+  Cluster& cluster = world.cluster;
+  Workload& workload = world.workload;
 
-  IdAllocator ids;
-  HashPartitioner part(cfg.n_nodes);
-  NamespacePlanner planner(part, OpCosts{});
-  std::vector<ObjectId> dirs;
-  for (std::uint32_t i = 0; i < cfg.n_dirs; ++i) {
-    const ObjectId dir = ids.next();
-    dirs.push_back(dir);
-    cluster.bootstrap_directory(dir, part.home_of(dir));
-  }
-
-  ThroughputMeter meter;
-  SourceConfig scfg;
-  scfg.concurrency = cfg.concurrency;
-  scfg.client_timeout = Duration::seconds(1);
-  MixedSource source(cluster.env(), cluster, scfg, meter, stats, planner, ids, dirs,
-                     MixedSource::Mix{0.6, 0.25}, cfg.seed, cfg.participants);
-
-  Nemesis nemesis(sim, cluster, trace);
+  Nemesis nemesis(sim, cluster, world.trace);
   nemesis.install(schedule);
-  source.start();
+  workload.start();
 
   // Run past both the workload window and every bounded fault window, so no
   // timed fault fires into the healed, draining cluster.
   const Duration window =
       std::max(cfg.run_for, schedule.horizon() + Duration::seconds(1));
   sim.run_until(SimTime::zero() + window);
-  source.stop();
+  workload.stop();
   nemesis.disarm();
   nemesis.heal();
 
@@ -111,21 +109,22 @@ ChaosRunResult run_schedule(const ChaosRunConfig& cfg,
     }
   }
 
-  CheckContext ctx{cluster.env(), cluster, stats, dirs, drained,
-                   [&sim](Duration d) { sim.run_for(d); }};
+  CheckContext ctx{cluster.env(), cluster, world.stats, workload.dirs(),
+                   drained, [&sim](Duration d) { sim.run_for(d); }};
   ChaosRunResult r;
   r.failures = run_checkers(ctx);
   r.passed = r.failures.empty();
-  r.committed = source.committed();
-  r.aborted = source.aborted();
-  r.lost = source.lost();
+  r.committed = workload.committed();
+  r.aborted = workload.aborted();
+  r.lost = workload.lost();
   r.triggers_fired = nemesis.triggers_fired();
   // Hash last: it covers the drain and the durability power cycle too, so a
   // replay must reproduce the *entire* history byte-for-byte.
-  r.trace_hash = trace.history_hash();
+  r.trace_hash = world.trace.history_hash();
 
   if (report != nullptr) {
-    const obs::SpanSet spans = obs::assemble_spans(trace.events(), &phase_log);
+    const obs::SpanSet spans =
+        obs::assemble_spans(world.trace.events(), &phase_log);
     Histogram latency;
     for (std::uint32_t i = 0; i < cluster.size(); ++i) {
       latency.merge(cluster.engine(NodeId(i)).client_latency());
@@ -137,12 +136,12 @@ ChaosRunResult run_schedule(const ChaosRunConfig& cfg,
     in.meta.nodes = static_cast<int>(cfg.n_nodes);
     in.meta.sim_duration_ns = sim.now().count_nanos();
     in.spans = &spans;
-    in.stats = &stats;
+    in.stats = &world.stats;
     in.latency = &latency;
     in.committed = static_cast<std::int64_t>(r.committed);
     in.aborted = static_cast<std::int64_t>(r.aborted);
     in.lost = static_cast<std::int64_t>(r.lost);
-    in.ops_per_second = meter.events_per_second_over(cfg.run_for);
+    in.ops_per_second = world.meter.events_per_second_over(cfg.run_for);
     in.trace_hash = r.trace_hash;
     std::istringstream lines(render_schedule(schedule));
     for (std::string line; std::getline(lines, line);) {

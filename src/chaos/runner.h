@@ -15,7 +15,7 @@
 #include "chaos/checker.h"
 #include "chaos/nemesis.h"
 #include "obs/report.h"
-#include "workload/source.h"
+#include "workload/workload.h"
 
 namespace opc {
 
@@ -44,6 +44,22 @@ struct ChaosRunResult {
   std::uint64_t aborted = 0;
   std::uint64_t lost = 0;
   std::uint32_t triggers_fired = 0;
+};
+
+/// The simulation under one chaos run: a cluster with the chaos timeouts,
+/// heartbeats and history recording, serving `cfg`'s mixed workload (not
+/// yet started).  run_schedule and the explorer's crash-point probe build
+/// the same one, so probed crash points exist in the runs they seed.
+struct ChaosSim {
+  /// `phase_log` (may be null) receives engine phase annotations.
+  ChaosSim(const ChaosRunConfig& cfg, obs::PhaseLog* phase_log);
+
+  Simulator sim;
+  StatsRegistry stats;
+  TraceRecorder trace{true};  // hashes + trigger observers need the trace
+  Cluster cluster;
+  ThroughputMeter meter;
+  Workload workload;
 };
 
 /// Runs one schedule to completion and checks it.  Deterministic.

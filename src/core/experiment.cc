@@ -1,113 +1,44 @@
 #include "core/experiment.h"
 
-#include <memory>
-
 namespace opc {
 namespace {
 
-/// Shared scaffolding: simulator, cluster, meter, fault injector, result
-/// collection.  Each run_* builds its own partitioner/planner/source on top.
-struct Runner {
-  explicit Runner(const ExperimentConfig& cfg)
-      : cfg_(cfg), trace_(cfg.trace), meter_() {
-    ClusterConfig cc = cfg.cluster;
-    // Phase annotations ride along whenever the trace is on: both are
-    // post-hoc observability inputs with the same cost profile.
-    if (cfg.trace) cc.phase_log = &phases_;
-    cluster_ = std::make_unique<Cluster>(sim_, cc, stats_, trace_);
-    meter_.set_warmup_until(SimTime::zero() + cfg.warmup);
-    meter_.set_cutoff(SimTime::zero() + cfg.run_for);
+/// Fault injection (ablation E): crashes a node every `crash_period`,
+/// alternating worker and coordinator when both are enabled.
+class CrashInjector {
+ public:
+  CrashInjector(Simulator& sim, Cluster& cluster, const ExperimentConfig& cfg)
+      : sim_(sim), cluster_(cluster), cfg_(cfg) {
+    if (cfg_.crash_period > Duration::zero()) schedule_next();
   }
 
-  void install_fault_injector() {
-    if (cfg_.crash_period <= Duration::zero()) return;
-    schedule_next_crash();
-  }
-
-  void schedule_next_crash() {
+ private:
+  void schedule_next() {
     sim_.schedule_after(cfg_.crash_period, [this] {
-      // Alternate targets when both are enabled; NodeId(0) is always the
-      // storm coordinator by construction.
+      // NodeId(0) is the storm coordinator by construction.
       NodeId target;
       if (cfg_.crash_worker && cfg_.crash_coordinator) {
-        target = NodeId(crash_toggle_ ? 0 : 1);
-        crash_toggle_ = !crash_toggle_;
+        target = NodeId(toggle_ ? 0 : 1);
+        toggle_ = !toggle_;
       } else if (cfg_.crash_coordinator) {
         target = NodeId(0);
       } else {
         target = NodeId(1);
       }
-      if (cluster_->node(target).alive()) {
-        cluster_->crash_node(target);
+      if (cluster_.node(target).alive()) {
+        cluster_.crash_node(target);
         sim_.schedule_after(cfg_.crash_reboot_after, [this, target] {
-          cluster_->reboot_node(target);
+          cluster_.reboot_node(target);
         });
       }
-      schedule_next_crash();
+      schedule_next();
     });
   }
 
-  ExperimentResult finish(ClosedLoopSource& source,
-                          const std::vector<ObjectId>& roots) {
-    sim_.run_until(SimTime::zero() + cfg_.run_for);
-    // Utilization is measured over the measurement window, before drain.
-    const double disk_busy =
-        cluster_->storage().partition(NodeId(0)).device().busy_time()
-            .to_seconds_f() /
-        cfg_.run_for.to_seconds_f();
-    source.stop();
-    // Drain until the cluster is quiescent: the invariant checker examines
-    // stable state, which is only meaningful once every in-flight
-    // transaction (including those deep in the directory-lock queue) has
-    // finished.  Capped generously; a cap hit shows up as violations.
-    const SimTime deadline =
-        SimTime::zero() + cfg_.run_for + Duration::seconds(600);
-    while (sim_.now() < deadline) {
-      bool quiescent = true;
-      for (std::uint32_t n = 0; n < cluster_->size(); ++n) {
-        AcpEngine& e = cluster_->engine(NodeId(n));
-        if (e.active_coordinations() != 0 || e.active_participations() != 0) {
-          quiescent = false;
-          break;
-        }
-      }
-      if (quiescent) break;
-      sim_.run_for(Duration::seconds(1));
-    }
-
-    ExperimentResult r;
-    r.ops_per_second =
-        meter_.events_per_second_over(cfg_.run_for - cfg_.warmup);
-    r.committed = source.committed();
-    r.aborted = source.aborted();
-    r.lost = source.lost();
-    for (std::uint32_t i = 0; i < cluster_->size(); ++i) {
-      r.latency.merge(cluster_->engine(NodeId(i)).client_latency());
-    }
-    const auto violations = cluster_->check_invariants(roots);
-    r.invariant_violations = violations.size();
-    r.violation_report = render_violations(violations);
-    if (cluster_->history() != nullptr) {
-      r.serializable = cluster_->history()->serializable();
-    }
-    r.coordinator_disk_busy = disk_busy;
-    r.trace_hash = trace_.history_hash();
-    r.stats = stats_;
-    if (cfg_.trace) {
-      r.trace_events = trace_.events();
-      r.phases = phases_;
-    }
-    return r;
-  }
-
-  ExperimentConfig cfg_;
-  Simulator sim_;
-  StatsRegistry stats_;
-  TraceRecorder trace_;
-  obs::PhaseLog phases_;
-  ThroughputMeter meter_;
-  std::unique_ptr<Cluster> cluster_;
-  bool crash_toggle_ = false;
+  Simulator& sim_;
+  Cluster& cluster_;
+  const ExperimentConfig& cfg_;
+  bool toggle_ = false;
 };
 
 }  // namespace
@@ -125,99 +56,74 @@ ExperimentConfig paper_fig6_config(ProtocolKind proto) {
   return cfg;
 }
 
-ExperimentResult run_create_storm(const ExperimentConfig& cfg) {
-  Runner run(cfg);
-  SIM_CHECK(cfg.cluster.n_nodes >= 2);
-  SIM_CHECK(cfg.n_directories >= 1);
-  SIM_CHECK_MSG(cfg.participants >= 2 &&
-                    cfg.participants <= cfg.cluster.n_nodes,
-                "storm participants need distinct worker nodes");
-  // participants == 2 keeps the legacy plan_create path (and its byte
-  // streams) untouched; wider storms spread one create per worker node.
-  std::vector<NodeId> spread;
-  if (cfg.participants > 2) {
-    spread.reserve(cfg.participants - 1);
-    for (std::uint32_t w = 1; w < cfg.participants; ++w) {
-      spread.push_back(NodeId(w));
+ExperimentResult run_experiment(const ExperimentConfig& cfg) {
+  Simulator sim;
+  StatsRegistry stats;
+  TraceRecorder trace(cfg.trace);
+  obs::PhaseLog phases;
+  ClusterConfig cc = cfg.cluster;
+  // Phase annotations ride along whenever the trace is on: both are
+  // post-hoc observability inputs with the same cost profile.
+  if (cfg.trace) cc.phase_log = &phases;
+  Cluster cluster(sim, cc, stats, trace);
+  ThroughputMeter meter;
+  meter.set_warmup_until(SimTime::zero() + cfg.warmup);
+  meter.set_cutoff(SimTime::zero() + cfg.run_for);
+
+  Workload workload(cluster, cfg, cfg.source, meter, stats);
+  CrashInjector crashes(sim, cluster, cfg);
+  workload.start();
+
+  sim.run_until(SimTime::zero() + cfg.run_for);
+  // Utilization is measured over the measurement window, before drain.
+  const double disk_busy =
+      cluster.storage().partition(NodeId(0)).device().busy_time()
+          .to_seconds_f() /
+      cfg.run_for.to_seconds_f();
+  workload.stop();
+  // Drain until the cluster is quiescent: the invariant checker examines
+  // stable state, which is only meaningful once every in-flight
+  // transaction (including those deep in the directory-lock queue) has
+  // finished.  Capped generously; a cap hit shows up as violations.
+  const SimTime deadline =
+      SimTime::zero() + cfg.run_for + Duration::seconds(600);
+  while (sim.now() < deadline) {
+    bool quiescent = true;
+    for (std::uint32_t n = 0; n < cluster.size(); ++n) {
+      AcpEngine& e = cluster.engine(NodeId(n));
+      if (e.active_coordinations() != 0 || e.active_participations() != 0) {
+        quiescent = false;
+        break;
+      }
     }
-  }
-  IdAllocator ids;
-  // Hot directories on mds0, every new inode on mds1: all creates
-  // distributed, all coordinated by mds0.
-  PinnedPartitioner part(cfg.cluster.n_nodes, NodeId(1));
-  NamespacePlanner planner(part, OpCosts{});
-  std::vector<ObjectId> dirs;
-  for (std::uint32_t d = 0; d < cfg.n_directories; ++d) {
-    const ObjectId dir = ids.next();
-    part.assign(dir, NodeId(0));
-    run.cluster_->bootstrap_directory(dir, NodeId(0));
-    dirs.push_back(dir);
+    if (quiescent) break;
+    sim.run_for(Duration::seconds(1));
   }
 
-  SourceConfig per_source = cfg.source;
-  per_source.concurrency = std::max<std::uint32_t>(
-      1, cfg.source.concurrency / cfg.n_directories);
-  std::vector<std::unique_ptr<CreateStormSource>> sources;
-  for (std::uint32_t d = 0; d < cfg.n_directories; ++d) {
-    sources.push_back(std::make_unique<CreateStormSource>(
-        run.cluster_->env(), *run.cluster_, per_source, run.meter_,
-        run.stats_, planner,
-        ids, dirs[d], "d" + std::to_string(d) + "_", /*batch=*/1, spread));
-  }
-  run.install_fault_injector();
-  for (auto& s : sources) s->start();
-
-  // finish() drives one source's lifecycle; stop the others alongside.
-  if (sources.size() == 1) return run.finish(*sources.front(), dirs);
-  run.sim_.run_until(SimTime::zero() + cfg.run_for);
-  for (std::size_t i = 1; i < sources.size(); ++i) sources[i]->stop();
-  ExperimentResult r = run.finish(*sources.front(), dirs);
-  for (std::size_t i = 1; i < sources.size(); ++i) {
-    r.committed += sources[i]->committed();
-    r.aborted += sources[i]->aborted();
-    r.lost += sources[i]->lost();
-  }
-  return r;
-}
-
-ExperimentResult run_batched_storm(const ExperimentConfig& cfg,
-                                   std::uint32_t batch) {
-  Runner run(cfg);
-  SIM_CHECK(cfg.cluster.n_nodes >= 2);
-  IdAllocator ids;
-  const ObjectId dir = ids.next();
-  PinnedPartitioner part(cfg.cluster.n_nodes, NodeId(1));
-  part.assign(dir, NodeId(0));
-  run.cluster_->bootstrap_directory(dir, NodeId(0));
-  NamespacePlanner planner(part, OpCosts{});
-
-  CreateStormSource source(run.cluster_->env(), *run.cluster_, cfg.source, run.meter_,
-                           run.stats_, planner, ids, dir, "b", batch);
-  run.install_fault_injector();
-  source.start();
-  ExperimentResult r = run.finish(source, {dir});
+  ExperimentResult r;
   // The meter counts transactions; scale to namespace operations.
-  r.ops_per_second *= batch;
-  return r;
-}
-
-ExperimentResult run_mixed(const ExperimentConfig& cfg, MixedSource::Mix mix,
-                           std::uint32_t n_dirs) {
-  Runner run(cfg);
-  IdAllocator ids;
-  HashPartitioner part(cfg.cluster.n_nodes);
-  NamespacePlanner planner(part, OpCosts{});
-  std::vector<ObjectId> dirs;
-  for (std::uint32_t i = 0; i < n_dirs; ++i) {
-    const ObjectId dir = ids.next();
-    dirs.push_back(dir);
-    run.cluster_->bootstrap_directory(dir, part.home_of(dir));
+  r.ops_per_second =
+      meter.events_per_second_over(cfg.run_for - cfg.warmup) * cfg.batch;
+  r.committed = workload.committed();
+  r.aborted = workload.aborted();
+  r.lost = workload.lost();
+  for (std::uint32_t i = 0; i < cluster.size(); ++i) {
+    r.latency.merge(cluster.engine(NodeId(i)).client_latency());
   }
-  MixedSource source(run.cluster_->env(), *run.cluster_, cfg.source, run.meter_,
-                     run.stats_, planner, ids, dirs, mix, cfg.cluster.seed);
-  run.install_fault_injector();
-  source.start();
-  return run.finish(source, dirs);
+  const auto violations = cluster.check_invariants(workload.dirs());
+  r.invariant_violations = violations.size();
+  r.violation_report = render_violations(violations);
+  if (cluster.history() != nullptr) {
+    r.serializable = cluster.history()->serializable();
+  }
+  r.coordinator_disk_busy = disk_busy;
+  r.trace_hash = trace.history_hash();
+  r.stats = stats;
+  if (cfg.trace) {
+    r.trace_events = trace.events();
+    r.phases = phases;
+  }
+  return r;
 }
 
 }  // namespace opc

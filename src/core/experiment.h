@@ -1,6 +1,6 @@
 // Experiment driver: one self-contained simulation per call.
 //
-// Each run owns its Simulator, Cluster, planner and sources, making runs
+// Each run owns its Simulator, Cluster and Workload, making runs
 // pure functions of (config, seed) — the property the parallel sweep runner
 // (core/sweep.h) relies on to fan experiments out across threads with
 // bitwise-reproducible results.
@@ -14,30 +14,19 @@
 #include "cluster/cluster.h"
 #include "obs/phase.h"
 #include "sim/trace.h"
-#include "workload/source.h"
+#include "workload/workload.h"
 
 namespace opc {
 
-struct ExperimentConfig {
+/// One simulated run: the cluster, the workload (the WorkloadSpec base:
+/// shape, n_dirs, participants, batch, mix; src/workload/workload.h) and
+/// the measurement window.
+struct ExperimentConfig : WorkloadSpec {
   ClusterConfig cluster;
   SourceConfig source;
   Duration run_for = Duration::seconds(30);
   Duration warmup = Duration::seconds(5);
   bool trace = false;  // record the full event trace (costly; debug only)
-
-  /// Number of independent hot directories (all on the coordinator MDS).
-  /// 1 = the paper's single-directory storm; >1 removes the directory-lock
-  /// serialization so coordinator-side device contention shows (each
-  /// directory gets its own closed-loop source with concurrency/n clients).
-  std::uint32_t n_directories = 1;
-
-  /// Participants per storm transaction.  2 = the paper's two-MDS create;
-  /// >2 widens every submission to one create per worker node (nodes
-  /// 1..participants-1), so each transaction spans the coordinator plus
-  /// participants-1 distinct inode servers.  Requires participants <=
-  /// cluster.n_nodes.  Note 1PC degrades wider-than-two-party transactions
-  /// to presumed-abort (src/acp/protocol.h).
-  std::uint32_t participants = 2;
 
   /// Fault injection (ablation E): crash a node every `crash_period`
   /// (0 = never), alternating worker/coordinator per the flags.
@@ -73,21 +62,15 @@ struct ExperimentResult {
 /// (coordinator) plus the inode server (worker).
 [[nodiscard]] ExperimentConfig paper_fig6_config(ProtocolKind proto);
 
-/// Figure 6: distributed CREATE storm into one directory; every create is a
-/// two-MDS distributed transaction.
-[[nodiscard]] ExperimentResult run_create_storm(const ExperimentConfig& cfg);
+/// Builds the cluster and workload of `cfg`, runs the measurement window,
+/// drains to quiescence and checks invariants.  ops_per_second counts
+/// namespace operations: committed transactions times `cfg.batch`.
+[[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
-/// Mixed CREATE/DELETE/RENAME workload over a hash-partitioned namespace of
-/// `n_dirs` directories on a `cluster.n_nodes`-wide cluster; exercises the
-/// hybrid 1PC->PrN fallback for four-party renames.
-[[nodiscard]] ExperimentResult run_mixed(const ExperimentConfig& cfg,
-                                         MixedSource::Mix mix,
-                                         std::uint32_t n_dirs);
-
-/// Batched create storm (paper §VI future work): each transaction carries
-/// `batch` creates in the hot directory, amortizing locks, messages and
-/// forced writes.
-[[nodiscard]] ExperimentResult run_batched_storm(const ExperimentConfig& cfg,
-                                                 std::uint32_t batch);
+/// run_experiment under its former name, which perfbench/tests still calls.
+[[nodiscard]] inline ExperimentResult run_create_storm(
+    const ExperimentConfig& cfg) {
+  return run_experiment(cfg);
+}
 
 }  // namespace opc

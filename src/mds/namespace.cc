@@ -29,25 +29,30 @@ void NamespacePlanner::add_op(Transaction& txn, NodeId coordinator,
   }
 }
 
+void NamespacePlanner::append_create(Transaction& txn, NodeId coordinator,
+                                     ObjectId parent_dir,
+                                     const std::string& name, ObjectId inode,
+                                     NodeId home, bool is_dir) const {
+  SIM_CHECK(inode.valid());
+  add_op(txn, coordinator, coordinator,
+         Operation{OpType::kAddDentry, parent_dir, inode, name,
+                   costs_.dentry_log_bytes, costs_.method_compute});
+  add_op(txn, coordinator, home,
+         Operation{OpType::kCreateInode, inode, is_dir ? inode : kNoObject, "",
+                   costs_.inode_log_bytes, costs_.method_compute});
+  add_op(txn, coordinator, home,
+         Operation{OpType::kIncLink, inode, kNoObject, "",
+                   /*log_bytes=*/0, costs_.method_compute});
+}
+
 Transaction NamespacePlanner::plan_create(ObjectId parent_dir,
                                           const std::string& name,
                                           ObjectId new_inode, bool is_dir) {
-  SIM_CHECK(parent_dir.valid() && new_inode.valid());
-  const NodeId coord = part_.home_of(parent_dir);
-  const NodeId child_home = part_.place_child(parent_dir, new_inode);
-
+  SIM_CHECK(parent_dir.valid());
   Transaction txn;
   txn.kind = NamespaceOpKind::kCreate;
-  add_op(txn, coord, coord,
-         Operation{OpType::kAddDentry, parent_dir, new_inode, name,
-                   costs_.dentry_log_bytes, costs_.method_compute});
-  add_op(txn, coord, child_home,
-         Operation{OpType::kCreateInode, new_inode,
-                   is_dir ? new_inode : kNoObject, "",
-                   costs_.inode_log_bytes, costs_.method_compute});
-  add_op(txn, coord, child_home,
-         Operation{OpType::kIncLink, new_inode, kNoObject, "",
-                   /*log_bytes=*/0, costs_.method_compute});
+  append_create(txn, part_.home_of(parent_dir), parent_dir, name, new_inode,
+                part_.home_of(new_inode), is_dir);
   return txn;
 }
 
@@ -102,47 +107,19 @@ Transaction NamespacePlanner::plan_rename(ObjectId src_dir,
 
 Transaction NamespacePlanner::plan_create_batch(
     ObjectId parent_dir,
-    const std::vector<std::pair<std::string, ObjectId>>& entries) {
-  SIM_CHECK(parent_dir.valid() && !entries.empty());
-  const NodeId coord = part_.home_of(parent_dir);
-  Transaction txn;
-  txn.kind = NamespaceOpKind::kCreate;
-  for (const auto& [name, inode] : entries) {
-    const NodeId child_home = part_.place_child(parent_dir, inode);
-    add_op(txn, coord, coord,
-           Operation{OpType::kAddDentry, parent_dir, inode, name,
-                     costs_.dentry_log_bytes, costs_.method_compute});
-    add_op(txn, coord, child_home,
-           Operation{OpType::kCreateInode, inode, kNoObject, "",
-                     costs_.inode_log_bytes, costs_.method_compute});
-    add_op(txn, coord, child_home,
-           Operation{OpType::kIncLink, inode, kNoObject, "",
-                     /*log_bytes=*/0, costs_.method_compute});
-  }
-  return txn;
-}
-
-Transaction NamespacePlanner::plan_create_spread(
-    ObjectId parent_dir,
     const std::vector<std::pair<std::string, ObjectId>>& entries,
     const std::vector<NodeId>& homes) {
   SIM_CHECK(parent_dir.valid() && !entries.empty());
-  SIM_CHECK_MSG(entries.size() == homes.size(),
+  SIM_CHECK_MSG(homes.empty() || homes.size() == entries.size(),
                 "one explicit home per entry");
   const NodeId coord = part_.home_of(parent_dir);
   Transaction txn;
   txn.kind = NamespaceOpKind::kCreate;
   for (std::size_t k = 0; k < entries.size(); ++k) {
     const auto& [name, inode] = entries[k];
-    add_op(txn, coord, coord,
-           Operation{OpType::kAddDentry, parent_dir, inode, name,
-                     costs_.dentry_log_bytes, costs_.method_compute});
-    add_op(txn, coord, homes[k],
-           Operation{OpType::kCreateInode, inode, kNoObject, "",
-                     costs_.inode_log_bytes, costs_.method_compute});
-    add_op(txn, coord, homes[k],
-           Operation{OpType::kIncLink, inode, kNoObject, "",
-                     /*log_bytes=*/0, costs_.method_compute});
+    append_create(txn, coord, parent_dir, name, inode,
+                  homes.empty() ? part_.home_of(inode) : homes[k],
+                  /*is_dir=*/false);
   }
   return txn;
 }

@@ -72,28 +72,27 @@ class NamespacePlanner {
 
   /// Aggregated CREATE (paper §VI future work): all `entries` are created
   /// in `parent_dir` inside ONE transaction, so the directory is locked
-  /// once and the protocol overhead is paid once per batch.
+  /// once and the protocol overhead is paid once per batch.  A non-empty
+  /// `homes` places entry k's inode on `homes[k]` instead of its
+  /// partitioner home; spread over k distinct non-coordinator nodes this
+  /// yields a 1+k-participant transaction — the generator for N-way storms.
+  /// Each entry's ops are exactly plan_create's.
   [[nodiscard]] Transaction plan_create_batch(
       ObjectId parent_dir,
-      const std::vector<std::pair<std::string, ObjectId>>& entries);
-
-  /// N-participant CREATE: entry k is created in `parent_dir` with its
-  /// inode hosted at `homes[k]` (explicit placement, bypassing the
-  /// partitioner's place_child).  With the homes spread over k distinct
-  /// non-coordinator nodes this yields a 1+k-participant transaction — the
-  /// generator for N-way storms.  Per-entry op shapes match plan_create
-  /// exactly (AddDentry at the coordinator; CreateInode + IncLink at the
-  /// child's home), so every inode ends up referenced by exactly nlink
-  /// dentries and the namespace invariant checker stays clean.
-  [[nodiscard]] Transaction plan_create_spread(
-      ObjectId parent_dir,
       const std::vector<std::pair<std::string, ObjectId>>& entries,
-      const std::vector<NodeId>& homes);
+      const std::vector<NodeId>& homes = {});
 
   [[nodiscard]] Partitioner& partitioner() { return part_; }
   [[nodiscard]] const OpCosts& costs() const { return costs_; }
 
  private:
+  /// Appends one create's ops: AddDentry at the coordinator, CreateInode
+  /// + IncLink at `home`, so every inode ends up referenced by exactly
+  /// nlink dentries.
+  void append_create(Transaction& txn, NodeId coordinator,
+                     ObjectId parent_dir, const std::string& name,
+                     ObjectId inode, NodeId home, bool is_dir) const;
+
   /// Appends `op` to `node`'s participant, creating it if needed; keeps
   /// `coordinator` as participants[0].
   static void add_op(Transaction& txn, NodeId coordinator, NodeId node,

@@ -9,7 +9,7 @@
 //     paper's motivating scenario of spreading one hot directory's files
 //     over all servers.
 //   * PinnedPartitioner — explicit per-object homes with a default home for
-//     new children; the Figure 6 reproduction pins the hot directory and
+//     everything not assigned; the Figure 6 reproduction pins the hot directory and
 //     its new inodes to different MDSs so every create is distributed.
 #pragma once
 
@@ -28,11 +28,6 @@ class Partitioner {
   /// The MDS hosting an existing object.
   [[nodiscard]] virtual NodeId home_of(ObjectId obj) const = 0;
 
-  /// Chooses (and remembers, if stateful) the MDS for a new child of
-  /// `parent_dir`.
-  [[nodiscard]] virtual NodeId place_child(ObjectId parent_dir,
-                                           ObjectId child) = 0;
-
   [[nodiscard]] virtual std::uint32_t cluster_size() const = 0;
 };
 
@@ -43,9 +38,6 @@ class HashPartitioner final : public Partitioner {
 
   [[nodiscard]] NodeId home_of(ObjectId obj) const override {
     return NodeId(static_cast<std::uint32_t>(mix(obj.value()) % n_));
-  }
-  [[nodiscard]] NodeId place_child(ObjectId, ObjectId child) override {
-    return home_of(child);
   }
   [[nodiscard]] std::uint32_t cluster_size() const override { return n_; }
 
@@ -61,7 +53,7 @@ class HashPartitioner final : public Partitioner {
   std::uint32_t n_;
 };
 
-/// Fully explicit placement with a default home for new children.  The
+/// Explicit placement with a default home for unassigned objects.  The
 /// Figure 6 reproduction uses this to force *every* create to be a
 /// distributed transaction: the hot directory is pinned to the coordinator
 /// MDS and all new inodes to a different node, matching the paper's "100
@@ -76,12 +68,6 @@ class PinnedPartitioner final : public Partitioner {
   [[nodiscard]] NodeId home_of(ObjectId obj) const override {
     auto it = placed_.find(obj);
     return it != placed_.end() ? it->second : default_child_home_;
-  }
-  [[nodiscard]] NodeId place_child(ObjectId, ObjectId child) override {
-    auto it = placed_.find(child);
-    if (it != placed_.end()) return it->second;
-    placed_[child] = default_child_home_;
-    return default_child_home_;
   }
   [[nodiscard]] std::uint32_t cluster_size() const override { return n_; }
 

@@ -173,9 +173,6 @@ std::optional<Inode> MetaStore::effective_inode(TxnId txn, ObjectId id) const {
       case OpType::kCreateInode:
         ino = Inode{id, /*is_dir=*/op.child == id, 0, 0};
         break;
-      case OpType::kRemoveInode:
-        ino.reset();
-        break;
       case OpType::kIncLink:
         if (ino) ++ino->nlink;
         break;
@@ -225,14 +222,6 @@ StoreStatus MetaStore::validate(TxnId txn, const Operation& op) const {
     case OpType::kCreateInode:
       if (effective_inode(txn, op.target)) return StoreStatus::kInodeExists;
       return StoreStatus::kOk;
-    case OpType::kRemoveInode: {
-      auto ino = effective_inode(txn, op.target);
-      if (!ino) return StoreStatus::kInodeNotFound;
-      if (ino->is_dir && !effective_dir_empty(txn, op.target)) {
-        return StoreStatus::kDirNotEmpty;
-      }
-      return StoreStatus::kOk;
-    }
     case OpType::kSetAttr:
     case OpType::kReadAttr:
     case OpType::kIncLink:
@@ -307,10 +296,6 @@ void MetaStore::apply_to(const Operation& op, PreImage* pre) {
       if (pre != nullptr) *pre = PreImage{};
       break;
     }
-    case OpType::kRemoveInode:
-      live_inode("RemoveInode on missing inode");
-      inodes_.erase(id);
-      break;
     case OpType::kIncLink:
       ++live_inode("IncLink on missing inode")->nlink;
       break;

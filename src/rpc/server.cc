@@ -519,7 +519,7 @@ void RpcServer::submit_on_worker(const ConnPtr& c, MsgType op,
         homes.push_back(want);
         if (k == 1) created = inode;
       }
-      txn = planner_.plan_create_spread(ObjectId(dir), entries, homes);
+      txn = planner_.plan_create_batch(ObjectId(dir), entries, homes);
       break;
     }
     case MsgType::kRemove: {

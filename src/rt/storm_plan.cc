@@ -45,7 +45,7 @@ StormPlan make_storm_plan(std::uint32_t n_nodes, std::uint32_t ops_per_node,
         homes.push_back(part.home_of(inode));
       }
       plan.per_node[i].push_back(
-          planner.plan_create_spread(plan.dirs[i], entries, homes));
+          planner.plan_create_batch(plan.dirs[i], entries, homes));
     }
   }
   return plan;

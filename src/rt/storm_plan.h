@@ -40,9 +40,6 @@ class StridedPartitioner final : public Partitioner {
     const std::uint64_t k = v - inode_base();
     return NodeId(static_cast<std::uint32_t>((k % n_ + 1) % n_));
   }
-  [[nodiscard]] NodeId place_child(ObjectId, ObjectId child) override {
-    return home_of(child);
-  }
   [[nodiscard]] std::uint32_t cluster_size() const override { return n_; }
 
   /// First inode id (directories occupy 1..n).

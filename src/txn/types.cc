@@ -44,7 +44,6 @@ bool get_u64(const std::vector<std::uint8_t>& b, std::size_t& o, std::uint64_t& 
 const char* op_type_name(OpType t) {
   switch (t) {
     case OpType::kCreateInode: return "CreateInode";
-    case OpType::kRemoveInode: return "RemoveInode";
     case OpType::kIncLink: return "IncLink";
     case OpType::kDecLink: return "DecLink";
     case OpType::kAddDentry: return "AddDentry";
@@ -100,7 +99,10 @@ bool decode_ops(const std::vector<std::uint8_t>& buf,
     std::uint8_t type = 0;
     std::uint64_t target = 0, child = 0, log_bytes = 0, compute = 0;
     std::uint32_t name_len = 0;
-    if (!get_u8(buf, o, type) || type < 1 || type > 8) return false;
+    // Valid types are 1 and 3..8 (2 is unassigned).
+    if (!get_u8(buf, o, type) || type < 1 || type == 2 || type > 8) {
+      return false;
+    }
     if (!get_u64(buf, o, target) || !get_u64(buf, o, child) ||
         !get_u32(buf, o, name_len)) {
       return false;

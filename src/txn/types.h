@@ -2,8 +2,8 @@
 //
 // A distributed namespace operation (paper §II) decomposes into primitive
 // metadata *methods* executed at specific MDSs — e.g. DELETE(file1) =
-// [RemoveDentry @ MDS of dir] + [DecLink(+maybe RemoveInode) @ MDS of
-// inode].  The commit protocols move vectors of these Operations around;
+// [RemoveDentry @ MDS of dir] + [DecLink @ MDS of inode, which drops the
+// inode at its last link].  The commit protocols move vectors of these Operations around;
 // the MDS layer interprets them against its tables.
 #pragma once
 
@@ -39,7 +39,6 @@ using TxnId = std::uint64_t;
 /// Primitive metadata methods.
 enum class OpType : std::uint8_t {
   kCreateInode = 1,   // target = new inode id
-  kRemoveInode = 2,   // target = inode id
   kIncLink = 3,       // target = inode id
   kDecLink = 4,       // target = inode id; removes the inode at nlink==0
   kAddDentry = 5,     // target = directory inode, name + child

@@ -91,26 +91,18 @@ void ClosedLoopSource::complete(const Transaction& txn, TxnOutcome outcome,
 // ---------------------------------------------------------------------------
 
 bool CreateStormSource::make_txn(Transaction& out, bool /*retry*/) {
-  if (!spread_.empty()) {
-    std::vector<std::pair<std::string, ObjectId>> entries;
-    entries.reserve(spread_.size());
-    for (std::size_t i = 0; i < spread_.size(); ++i) {
-      entries.emplace_back(prefix_ + std::to_string(counter_++), ids_.next());
-    }
-    out = planner_.plan_create_spread(dir_, entries, spread_);
+  if (spread_.empty() && batch_ <= 1) {
+    out = planner_.plan_create(dir_, prefix_ + std::to_string(counter_++),
+                               ids_.next(), /*is_dir=*/false);
     return true;
   }
-  if (batch_ <= 1) {
-    const std::string name = prefix_ + std::to_string(counter_++);
-    out = planner_.plan_create(dir_, name, ids_.next(), /*is_dir=*/false);
-    return true;
-  }
+  const std::size_t width = spread_.empty() ? batch_ : spread_.size();
   std::vector<std::pair<std::string, ObjectId>> entries;
-  entries.reserve(batch_);
-  for (std::uint32_t i = 0; i < batch_; ++i) {
+  entries.reserve(width);
+  for (std::size_t i = 0; i < width; ++i) {
     entries.emplace_back(prefix_ + std::to_string(counter_++), ids_.next());
   }
-  out = planner_.plan_create_batch(dir_, entries);
+  out = planner_.plan_create_batch(dir_, entries, spread_);
   return true;
 }
 
@@ -261,7 +253,7 @@ bool MixedSource::make_txn(Transaction& out, bool /*retry*/) {
       entries.emplace_back("m" + std::to_string(counter_++), inode);
       homes.push_back(want);
     }
-    out = planner_.plan_create_spread(dir, entries, homes);
+    out = planner_.plan_create_batch(dir, entries, homes);
     return true;
   }
   const std::uint64_t seq = counter_++;

@@ -199,7 +199,7 @@ TEST(PresumedAbort, DegradedOnePcAbortsRecycleWorkerState) {
   NamespacePlanner planner(part, OpCosts{});
   expect_aborts_recycle_work(sim, cluster, NodeId(1), [&](int i) {
     const std::string n = std::to_string(i);
-    return planner.plan_create_spread(
+    return planner.plan_create_batch(
         dir, {{"a" + n, ids.next()}, {"b" + n, squatter}},
         {NodeId(1), NodeId(2)});
   });

@@ -21,10 +21,9 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "mds/namespace.h"
 #include "report/alloc_hook.h"
 #include "sim/simulator.h"
-#include "workload/source.h"
+#include "workload/workload.h"
 
 namespace opc {
 namespace {
@@ -42,18 +41,10 @@ TEST(AllocGate, StormSteadyStateStaysUnderCeiling) {
   cc.n_nodes = 2;
   cc.protocol = ProtocolKind::kOnePC;
   Cluster cluster(sim, cc, stats, trace);
-  IdAllocator ids;
-  const ObjectId dir = ids.next();
-  PinnedPartitioner part(2, NodeId(1));
-  part.assign(dir, NodeId(0));
-  cluster.bootstrap_directory(dir, NodeId(0));
-  NamespacePlanner planner(part, OpCosts{});
   ThroughputMeter meter;
-  SourceConfig scfg;
-  scfg.concurrency = 100;
-  CreateStormSource source(cluster.env(), cluster, scfg, meter, stats,
-                           planner, ids, dir);
-  source.start();
+  Workload workload(cluster, WorkloadSpec{}, SourceConfig{.concurrency = 100},
+                    meter, stats);
+  workload.start();
 
   // Warm-up: one simulated second absorbs all one-time growth.
   sim.run_until(SimTime::zero() + Duration::seconds(1));

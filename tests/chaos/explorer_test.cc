@@ -68,6 +68,34 @@ TEST(Exploration, SystematicModeEnumeratesCrashPoints) {
   EXPECT_EQ(r.failed, 0u);
 }
 
+// The crash-point probe runs the same workload as the schedules it seeds,
+// so wider transactions give different crash points.  Each row hashes the
+// concatenated render_schedule outputs (FNV-1a) of one 1PC seed-42 probe;
+// the two-party lists are the ones the probe gave before it ran the
+// scheduled width, which also left the wider lists equal to them.
+TEST(Exploration, CrashPointProbeRunsTheScheduledWorkload) {
+  constexpr struct {
+    std::uint32_t nodes, participants;
+    std::uint64_t hash;
+  } kRows[] = {{3, 2, 0xc14ebd72b8029625ull}, {3, 3, 0xda14f6a11fcb4bdfull},
+               {4, 2, 0x7858a1eb9b5f2b3full}, {4, 3, 0xcff9ddcc84be1c95ull},
+               {4, 4, 0x9f8ac82fe1b03511ull}};
+  for (const auto& row : kRows) {
+    ChaosRunConfig base;
+    base.seed = 42;
+    base.n_nodes = row.nodes;
+    base.participants = row.participants;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const FaultSchedule& s : enumerate_crash_points(base, 64)) {
+      for (const char c : render_schedule(s)) {
+        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+      }
+    }
+    EXPECT_EQ(h, row.hash) << row.nodes << " nodes, " << row.participants
+                           << " participants: got 0x" << std::hex << h;
+  }
+}
+
 // combined_hash of smoke_cfg(proto, 50, 7) at each width.  The smoke's
 // schedules crash, partition and reboot nodes, so these pin the recovery,
 // fencing and decision-retry paths byte for byte, not only the failure-free

@@ -94,6 +94,25 @@ TEST(CliSmoke, WideStormRunsAndRaisesNodes) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
+TEST(CliSmoke, MixedHonoursParticipants) {
+  // Same cluster and seed: wider creates must change the run.
+  const std::string base = "mixed --protocol prn --nodes 4 --ops 200 --seconds 5";
+  const RunResult two = run(base);
+  const RunResult three = run(base + " --participants 3");
+  EXPECT_EQ(two.exit_code, 0) << two.output;
+  EXPECT_EQ(three.exit_code, 0) << three.output;
+  EXPECT_NE(two.output, three.output)
+      << "--participants 3 left the mixed run unchanged";
+}
+
+TEST(CliSmoke, BatchRejectsWideParticipants) {
+  // A batch and a spread are alternative wide shapes of one storm create.
+  const RunResult r =
+      run("batch --protocol 1pc --batch 4 --participants 3 --duration 250ms");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--participants"), std::string::npos) << r.output;
+}
+
 TEST(CliSmoke, DurationSpellingsParse) {
   // 250ms of 1PC sim storm: fast, and proves the suffix parser reaches the
   // sim through the shared CommonFlags path.

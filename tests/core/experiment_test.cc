@@ -16,11 +16,11 @@ ExperimentConfig short_fig6(ProtocolKind proto) {
 }
 
 TEST(Fig6Shape, OnePcBeatsTwoPcFamilyByPaperMargin) {
-  const double prn = run_create_storm(short_fig6(ProtocolKind::kPrN)).ops_per_second;
-  const double prc = run_create_storm(short_fig6(ProtocolKind::kPrC)).ops_per_second;
-  const double ep = run_create_storm(short_fig6(ProtocolKind::kEP)).ops_per_second;
+  const double prn = run_experiment(short_fig6(ProtocolKind::kPrN)).ops_per_second;
+  const double prc = run_experiment(short_fig6(ProtocolKind::kPrC)).ops_per_second;
+  const double ep = run_experiment(short_fig6(ProtocolKind::kEP)).ops_per_second;
   const double onepc =
-      run_create_storm(short_fig6(ProtocolKind::kOnePC)).ops_per_second;
+      run_experiment(short_fig6(ProtocolKind::kOnePC)).ops_per_second;
 
   // Paper: PrN 15, PrC ~15, EP 16, 1PC 24 (+>50 %).  We require the shape:
   // absolute values in the same band, ordering preserved, 1PC's win > 40 %.
@@ -35,7 +35,7 @@ TEST(Fig6Shape, OnePcBeatsTwoPcFamilyByPaperMargin) {
 }
 
 TEST(Fig6Shape, RunsAreCleanAndConsistent) {
-  const ExperimentResult r = run_create_storm(short_fig6(ProtocolKind::kOnePC));
+  const ExperimentResult r = run_experiment(short_fig6(ProtocolKind::kOnePC));
   EXPECT_EQ(r.invariant_violations, 0u) << r.violation_report;
   EXPECT_EQ(r.aborted, 0u);
   EXPECT_EQ(r.lost, 0u);
@@ -47,8 +47,8 @@ TEST(Determinism, SameSeedSameHistory) {
   cfg.run_for = Duration::seconds(4);
   cfg.warmup = Duration::seconds(1);
   cfg.trace = true;
-  const ExperimentResult a = run_create_storm(cfg);
-  const ExperimentResult b = run_create_storm(cfg);
+  const ExperimentResult a = run_experiment(cfg);
+  const ExperimentResult b = run_experiment(cfg);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   EXPECT_EQ(a.committed, b.committed);
   EXPECT_DOUBLE_EQ(a.ops_per_second, b.ops_per_second);
@@ -66,17 +66,19 @@ TEST(Determinism, EqualSeedsEqualTraceHashAcrossProtocols) {
     cfg.run_for = Duration::seconds(3);
     cfg.warmup = Duration::seconds(1);
     cfg.trace = true;
-    const std::uint64_t first = run_create_storm(cfg).trace_hash;
-    EXPECT_EQ(run_create_storm(cfg).trace_hash, first) << protocol_name(p);
+    const std::uint64_t first = run_experiment(cfg).trace_hash;
+    EXPECT_EQ(run_experiment(cfg).trace_hash, first) << protocol_name(p);
   }
   ExperimentConfig cfg = paper_fig6_config(ProtocolKind::kOnePC);
   cfg.run_for = Duration::seconds(3);
   cfg.warmup = Duration::seconds(1);
   cfg.trace = true;
-  const std::uint64_t first = run_mixed(cfg, MixedSource::Mix{}, 4).trace_hash;
-  EXPECT_EQ(run_mixed(cfg, MixedSource::Mix{}, 4).trace_hash, first);
+  cfg.shape = WorkloadShape::kMixed;
+  cfg.n_dirs = 4;
+  const std::uint64_t first = run_experiment(cfg).trace_hash;
+  EXPECT_EQ(run_experiment(cfg).trace_hash, first);
   cfg.cluster.seed += 1;
-  EXPECT_NE(run_mixed(cfg, MixedSource::Mix{}, 4).trace_hash, first)
+  EXPECT_NE(run_experiment(cfg).trace_hash, first)
       << "a different seed must change the mixed-workload history";
 }
 
@@ -92,12 +94,12 @@ TEST(Determinism, ParallelSweepMatchesSequential) {
   };
   std::vector<std::uint64_t> sequential;
   for (ProtocolKind p : protos) {
-    sequential.push_back(run_create_storm(make_cfg(p)).trace_hash);
+    sequential.push_back(run_experiment(make_cfg(p)).trace_hash);
   }
   const auto parallel = ParallelSweep::map<ProtocolKind, std::uint64_t>(
       protos,
       [&](const ProtocolKind& p) {
-        return run_create_storm(make_cfg(p)).trace_hash;
+        return run_experiment(make_cfg(p)).trace_hash;
       },
       /*threads=*/4);
   EXPECT_EQ(parallel, sequential);
@@ -108,8 +110,9 @@ TEST(Batching, AggregationMultipliesThroughput) {
   // forced writes.  Batch 8 must beat batch 1 by a wide margin.
   ExperimentConfig cfg = short_fig6(ProtocolKind::kOnePC);
   cfg.run_for = Duration::seconds(8);
-  const double b1 = run_batched_storm(cfg, 1).ops_per_second;
-  const double b8 = run_batched_storm(cfg, 8).ops_per_second;
+  const double b1 = run_experiment(cfg).ops_per_second;
+  cfg.batch = 8;
+  const double b8 = run_experiment(cfg).ops_per_second;
   EXPECT_GT(b8, b1 * 3.0);
 }
 
@@ -122,7 +125,10 @@ TEST(MixedWorkload, CommitsCleanlyWithRenames) {
   cfg.source.max_ops = 300;
   cfg.run_for = Duration::seconds(60);
   cfg.warmup = Duration::zero();
-  const ExperimentResult r = run_mixed(cfg, MixedSource::Mix{0.6, 0.25}, 6);
+  cfg.shape = WorkloadShape::kMixed;
+  cfg.n_dirs = 6;
+  cfg.mix = MixedSource::Mix{0.6, 0.25};
+  const ExperimentResult r = run_experiment(cfg);
   EXPECT_GT(r.committed, 250u);
   EXPECT_EQ(r.invariant_violations, 0u) << r.violation_report;
   EXPECT_TRUE(r.serializable);

@@ -192,11 +192,14 @@ TEST(FlatDifferential, StoreDumpsMatchOrderedMapModel) {
       ASSERT_EQ(store.apply(txn, Operation{OpType::kCreateInode, child,
                                            ObjectId{}, ""}),
                 StoreStatus::kOk);
+      ASSERT_EQ(store.apply(txn, Operation{OpType::kIncLink, child,
+                                           ObjectId{}, ""}),
+                StoreStatus::kOk);
       ASSERT_EQ(store.apply(txn, Operation{OpType::kAddDentry, root, child,
                                            name}),
                 StoreStatus::kOk);
       store.commit_txn(txn);
-      ref_inodes[child.value()] = Inode{child, false, 0, 0};
+      ref_inodes[child.value()] = Inode{child, false, 1, 0};
       ref_dentries[{root.value(), name}] = child;
       live.emplace_back(root.value(), name);
     } else {
@@ -207,7 +210,7 @@ TEST(FlatDifferential, StoreDumpsMatchOrderedMapModel) {
       ASSERT_EQ(store.apply(txn, Operation{OpType::kRemoveDentry,
                                            ObjectId(dir), child, name}),
                 StoreStatus::kOk);
-      ASSERT_EQ(store.apply(txn, Operation{OpType::kRemoveInode, child,
+      ASSERT_EQ(store.apply(txn, Operation{OpType::kDecLink, child,
                                            ObjectId{}, ""}),
                 StoreStatus::kOk);
       store.commit_txn(txn);
@@ -254,8 +257,8 @@ TEST(FlatDifferential, StoreDumpsMatchOrderedMapModel) {
 // now, commit_stable later, in commit order), aborts, and crashes followed
 // by replay_committed of a random durable prefix.  Every create also makes
 // the child's inode (CreateInode + IncLink), every unlink drops it
-// (DecLink to zero or RemoveInode), and attribute transactions SetAttr,
-// IncLink and DecLink live inodes, so the undo records cover every op kind.
+// (DecLink to zero), and attribute transactions SetAttr, IncLink and
+// DecLink live inodes, so the undo records cover every op kind.
 // At every checkpoint — most of them with transactions still unflushed —
 // the mem and stable views must answer lookups for every live and some
 // removed names and inodes exactly like std::maps, and the ordered dumps,
@@ -317,9 +320,6 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
           break;
         case OpType::kSetAttr:
           ++m.inodes.at(id).version;
-          break;
-        case OpType::kRemoveInode:
-          ASSERT_EQ(m.inodes.erase(id), 1u);
           break;
         case OpType::kReadAttr:
           break;
@@ -473,12 +473,11 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
           ops.push_back(Operation{OpType::kSetAttr, child, ObjectId{}, ""});
         }
       } else {
-        // Unlink drops the inode: its last link, or the inode outright.
-        const bool last_link =
-            ref_mem.inodes.at(child.value()).nlink == 1 && rng.below(2) == 0;
-        ops.push_back(Operation{
-            last_link ? OpType::kDecLink : OpType::kRemoveInode, child,
-            ObjectId{}, ""});
+        // Unlink drops the inode: one DecLink per remaining link.
+        const std::uint32_t nlink = ref_mem.inodes.at(child.value()).nlink;
+        for (std::uint32_t l = 0; l < nlink; ++l) {
+          ops.push_back(Operation{OpType::kDecLink, child, ObjectId{}, ""});
+        }
       }
     }
     for (const Operation& op : ops) {
@@ -507,7 +506,7 @@ TEST(FlatDifferential, HashedDirectoriesMatchOrderedModelThroughSplitCommit) {
         if (op.type == OpType::kAddDentry) {
           live.emplace_back(op.target.value(), op.name);
         }
-        if (op.type == OpType::kRemoveInode || op.type == OpType::kDecLink) {
+        if (op.type == OpType::kDecLink) {
           removed_inodes.push_back(op.target.value());
         }
       }

@@ -80,9 +80,9 @@ TEST(MultiDirectoryStorm, ThroughputScalesUntilTheDeviceSaturates) {
   ExperimentConfig cfg = paper_fig6_config(ProtocolKind::kOnePC);
   cfg.run_for = Duration::seconds(10);
   cfg.warmup = Duration::seconds(2);
-  const double one_dir = run_create_storm(cfg).ops_per_second;
-  cfg.n_directories = 4;
-  const double four_dirs = run_create_storm(cfg).ops_per_second;
+  const double one_dir = run_experiment(cfg).ops_per_second;
+  cfg.n_dirs = 4;
+  const double four_dirs = run_experiment(cfg).ops_per_second;
   EXPECT_GT(four_dirs, one_dir * 0.95);
   // Device-bound ceiling: 2 forced blocks per txn at 20 ms each = 25/s.
   EXPECT_LT(four_dirs, 27.0);

@@ -50,7 +50,7 @@ TEST(TraceGoldenTest, StormHistoryHashesMatchPinnedValues) {
     cfg.run_for = Duration::seconds(2);
     cfg.warmup = Duration::seconds(1);
     cfg.trace = true;
-    const ExperimentResult r = run_create_storm(cfg);
+    const ExperimentResult r = run_experiment(cfg);
     EXPECT_EQ(r.trace_hash, g.hash)
         << protocol_name(g.proto) << " at " << g.participants
         << " participants: history hash moved (got 0x"
@@ -60,7 +60,7 @@ TEST(TraceGoldenTest, StormHistoryHashesMatchPinnedValues) {
   }
 }
 
-// The same config twice must hash identically — run_create_storm is a pure
+// The same config twice must hash identically — run_experiment is a pure
 // function of (config, seed).  Guards the golden values above against
 // within-build nondeterminism (which would make their failures noisy).
 TEST(TraceGoldenTest, RepeatedRunsHashIdentically) {
@@ -70,7 +70,7 @@ TEST(TraceGoldenTest, RepeatedRunsHashIdentically) {
     cfg.run_for = Duration::millis(500);
     cfg.warmup = Duration::millis(100);
     cfg.trace = true;
-    return run_create_storm(cfg).trace_hash;
+    return run_experiment(cfg).trace_hash;
   };
   EXPECT_EQ(run_once(), run_once());
 }

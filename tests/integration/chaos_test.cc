@@ -10,9 +10,8 @@
 #include <array>
 
 #include "cluster/cluster.h"
-#include "mds/namespace.h"
 #include "wal/record.h"
-#include "workload/source.h"
+#include "workload/workload.h"
 
 namespace opc {
 namespace {
@@ -42,23 +41,15 @@ TEST_P(ChaosTest, MixedWorkloadSurvivesRandomCrashes) {
   cc.heartbeat.suspicion_timeout = Duration::millis(250);
   Cluster cluster(sim, cc, stats, trace);
 
-  IdAllocator ids;
-  HashPartitioner part(3);
-  NamespacePlanner planner(part, OpCosts{});
-  std::vector<ObjectId> dirs;
-  for (int i = 0; i < 4; ++i) {
-    const ObjectId dir = ids.next();
-    dirs.push_back(dir);
-    cluster.bootstrap_directory(dir, part.home_of(dir));
-  }
-
   ThroughputMeter meter;
-  SourceConfig scfg;
-  scfg.concurrency = 6;
-  scfg.client_timeout = Duration::seconds(1);
-  MixedSource source(cluster.env(), cluster, scfg, meter, stats, planner, ids, dirs,
-                     MixedSource::Mix{0.6, 0.25}, cp.seed);
-  source.start();
+  Workload workload(cluster,
+                    WorkloadSpec{.shape = WorkloadShape::kMixed,
+                                 .n_dirs = 4,
+                                 .mix = {0.6, 0.25}},
+                    SourceConfig{.concurrency = 6,
+                                 .client_timeout = Duration::seconds(1)},
+                    meter, stats);
+  workload.start();
 
   // Random crash schedule: ~6 crashes over 15 simulated seconds, random
   // victims, 400 ms repair time.
@@ -72,7 +63,7 @@ TEST_P(ChaosTest, MixedWorkloadSurvivesRandomCrashes) {
   }
 
   sim.run_until(SimTime::zero() + Duration::seconds(15));
-  source.stop();
+  workload.stop();
   // Make sure everything is repaired, then drain completely.
   sim.run_until(SimTime::zero() + Duration::seconds(18));
   for (std::uint32_t n = 0; n < 3; ++n) cluster.reboot_node(NodeId(n));
@@ -87,14 +78,14 @@ TEST_P(ChaosTest, MixedWorkloadSurvivesRandomCrashes) {
     EXPECT_TRUE(cluster.node(NodeId(n)).alive());
   }
 
-  const auto violations = cluster.check_invariants(dirs);
+  const auto violations = cluster.check_invariants(workload.dirs());
   EXPECT_TRUE(violations.empty())
       << protocol_name(cp.proto) << " seed " << cp.seed << "\n"
       << render_violations(violations);
   ASSERT_NE(cluster.history(), nullptr);
   EXPECT_TRUE(cluster.history()->serializable())
       << protocol_name(cp.proto) << " seed " << cp.seed;
-  EXPECT_GT(source.committed(), 50u) << "progress was made despite crashes";
+  EXPECT_GT(workload.committed(), 50u) << "progress was made despite crashes";
 }
 
 // gtest names each case after a byte dump of its parameter, padding
@@ -134,31 +125,23 @@ TEST_P(LossTest, RetriesMaskMessageLoss) {
   cc.record_history = true;
   Cluster cluster(sim, cc, stats, trace);
 
-  IdAllocator ids;
-  const ObjectId dir = ids.next();
-  PinnedPartitioner part(2, NodeId(1));
-  part.assign(dir, NodeId(0));
-  cluster.bootstrap_directory(dir, NodeId(0));
-  NamespacePlanner planner(part, OpCosts{});
-
   ThroughputMeter meter;
-  SourceConfig scfg;
-  scfg.concurrency = 4;
-  scfg.max_ops = 60;
-  scfg.client_timeout = Duration::seconds(2);
-  CreateStormSource source(cluster.env(), cluster, scfg, meter, stats, planner, ids,
-                           dir);
-  source.start();
+  Workload workload(cluster, WorkloadSpec{},
+                    SourceConfig{.concurrency = 4,
+                                 .max_ops = 60,
+                                 .client_timeout = Duration::seconds(2)},
+                    meter, stats);
+  workload.start();
   sim.run_until(SimTime::zero() + Duration::seconds(120));
 
-  EXPECT_TRUE(cluster.check_invariants({dir}).empty());
+  EXPECT_TRUE(cluster.check_invariants(workload.dirs()).empty());
   EXPECT_TRUE(cluster.history()->serializable());
   // Commits must dominate; a dropped UPDATE_REQ surfaces as an abort
   // (2PC-family timeout) or a full STONITH fencing round (1PC — the paper's
   // recovery is deliberately heavy-handed, so its floor is lower).
   const std::uint64_t floor =
       GetParam() == ProtocolKind::kOnePC ? 20u : 40u;
-  EXPECT_GT(source.committed(), floor) << protocol_name(GetParam());
+  EXPECT_GT(workload.committed(), floor) << protocol_name(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, LossTest,
@@ -207,11 +190,15 @@ TEST(CodecFuzz, RandomRecordsRoundTrip) {
 }
 
 TEST(CodecFuzz, RandomOpsRoundTrip) {
+  constexpr OpType kTypes[] = {OpType::kCreateInode,  OpType::kIncLink,
+                               OpType::kDecLink,      OpType::kAddDentry,
+                               OpType::kRemoveDentry, OpType::kSetAttr,
+                               OpType::kReadAttr};
   Rng rng(456);
   for (int round = 0; round < 500; ++round) {
     std::vector<Operation> ops(rng.index(8));
     for (auto& op : ops) {
-      op.type = static_cast<OpType>(1 + rng.index(8));
+      op.type = kTypes[rng.index(std::size(kTypes))];
       op.target = ObjectId(rng.next_u64() | 1);
       op.child = ObjectId(rng.next_u64());
       op.name.resize(rng.index(40));

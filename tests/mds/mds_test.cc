@@ -78,12 +78,9 @@ TEST(StoreTest, ValidationErrors) {
             StoreStatus::kInodeExists);
   EXPECT_EQ(f.store.apply(1, op(OpType::kDecLink, 42)),
             StoreStatus::kInodeNotFound);
-  // A directory that still holds an entry may neither be removed nor lose
-  // its last link.
+  // A directory that still holds an entry may not lose its last link.
   f.store.bootstrap_inode(Inode{ObjectId(3), true, 1, 0});
   f.store.bootstrap_dentry(ObjectId(3), "child", ObjectId(4));
-  EXPECT_EQ(f.store.apply(1, op(OpType::kRemoveInode, 3)),
-            StoreStatus::kDirNotEmpty);
   EXPECT_EQ(f.store.apply(1, op(OpType::kDecLink, 3)),
             StoreStatus::kDirNotEmpty);
 }
@@ -342,7 +339,7 @@ TEST(PlannerTest, SpreadCreateSpansNParticipants) {
   PinnedPartitioner part(4, NodeId(1));
   part.assign(ObjectId(1), NodeId(0));
   NamespacePlanner planner(part, OpCosts{});
-  const Transaction txn = planner.plan_create_spread(
+  const Transaction txn = planner.plan_create_batch(
       ObjectId(1),
       {{"a", ObjectId(2)}, {"b", ObjectId(3)}, {"c", ObjectId(4)}},
       {NodeId(1), NodeId(2), NodeId(3)});
@@ -366,7 +363,7 @@ TEST(PlannerTest, SpreadCreateWithSingleOffHomeEntryMatchesPlanCreate) {
   NamespacePlanner planner(part, OpCosts{});
   const Transaction classic =
       planner.plan_create(ObjectId(1), "f", ObjectId(2), false);
-  const Transaction spread = planner.plan_create_spread(
+  const Transaction spread = planner.plan_create_batch(
       ObjectId(1), {{"f", ObjectId(2)}}, {NodeId(1)});
   ASSERT_EQ(spread.n_participants(), classic.n_participants());
   for (std::size_t i = 0; i < classic.participants.size(); ++i) {

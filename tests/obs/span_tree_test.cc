@@ -18,7 +18,7 @@ ExperimentResult traced_storm(ProtocolKind proto) {
   cfg.run_for = Duration::seconds(1);
   cfg.warmup = Duration::millis(200);
   cfg.trace = true;
-  return run_create_storm(cfg);
+  return run_experiment(cfg);
 }
 
 TEST(SpanTree, StormSpansAreWellFormed) {

@@ -61,6 +61,18 @@ TEST(OpsCodec, RejectsTrailingGarbage) {
   EXPECT_FALSE(decode_ops(buf, got));
 }
 
+TEST(OpsCodec, RejectsUnassignedTypeBytes) {
+  std::vector<std::uint8_t> buf;
+  encode_ops({make_op(OpType::kSetAttr, 3)}, buf);
+  constexpr std::size_t kTypeByte = 4;  // after the u32 op count
+  std::vector<Operation> got;
+  for (int type = 0; type <= 255; ++type) {
+    buf[kTypeByte] = static_cast<std::uint8_t>(type);
+    const bool assigned = type == 1 || (type >= 3 && type <= 8);
+    EXPECT_EQ(decode_ops(buf, got), assigned) << "type byte " << type;
+  }
+}
+
 TEST(TxnCodec, RoundTripsParticipants) {
   Transaction txn;
   txn.id = 777;

@@ -114,7 +114,8 @@ inline bool parse_duration(const std::string& s, Duration& out) {
 }
 
 /// Participants per transaction, one spelling for every traffic verb
-/// (storm/rtstorm/chaos/loadgen): `--participants N`, N in [2, 64].
+/// (storm/mixed/rtstorm/chaos/loadgen; batch accepts only 2):
+/// `--participants N`, N in [2, 64].
 /// 2 is the paper's two-MDS transaction; wider values spread each create
 /// over N-1 distinct worker nodes (and 1PC degrades to presumed-abort,
 /// src/acp/protocol.h).

@@ -69,7 +69,7 @@ ExperimentConfig config_from_args(const Args& a, const CommonFlags& cf,
       static_cast<std::int64_t>(cf.duration.to_seconds_f());
   cfg.warmup = Duration::seconds(
       std::max<std::int64_t>(1, a.num("warmup", run_secs / 6)));
-  cfg.n_directories = static_cast<std::uint32_t>(a.num("dirs", 1));
+  cfg.n_dirs = static_cast<std::uint32_t>(a.num("dirs", 1));
   if (a.num("crash-period-ms", 0) > 0) {
     cfg.crash_period = Duration::millis(a.num("crash-period-ms", 0));
     cfg.cluster.acp.response_timeout = Duration::millis(300);
@@ -103,13 +103,20 @@ void print_results(const std::vector<ProtocolKind>& protos,
 int run_storm_cmd(const Args& a, bool batch_mode) {
   CommonFlags cf;
   if (!parse_common(a, "all", 30, cf)) return 2;
-  const auto batch = static_cast<std::uint32_t>(a.num("batch", 1));
+  if (batch_mode && cf.participants > 2) {
+    std::fprintf(stderr,
+                 "batch and --participants > 2 are alternative wide "
+                 "shapes; use storm --participants N\n");
+    return 2;
+  }
   const auto results = ParallelSweep::map<ProtocolKind, ExperimentResult>(
       cf.protocols, [&](const ProtocolKind& p) {
         ExperimentConfig cfg = config_from_args(a, cf, p);
+        if (batch_mode) {
+          cfg.batch = static_cast<std::uint32_t>(a.num("batch", 1));
+        }
         if (a.flag("trace-hash")) cfg.trace = true;
-        return batch_mode ? run_batched_storm(cfg, batch)
-                          : run_create_storm(cfg);
+        return run_experiment(cfg);
       });
   print_results(cf.protocols, results, cf.csv);
   if (a.flag("trace-hash")) {
@@ -133,19 +140,22 @@ int cmd_batch(const Args& a) { return run_storm_cmd(a, /*batch_mode=*/true); }
 int cmd_mixed(const Args& a) {
   CommonFlags cf;
   if (!parse_common(a, "1pc", 30, cf)) return 2;
-  MixedSource::Mix mix;
-  mix.create = a.real("creates", 0.6);
-  mix.remove = a.real("deletes", 0.25);
-  const auto dirs = static_cast<std::uint32_t>(a.num("dirs", 8));
   const auto results = ParallelSweep::map<ProtocolKind, ExperimentResult>(
       cf.protocols, [&](const ProtocolKind& p) {
         ExperimentConfig cfg = config_from_args(a, cf, p);
-        if (cfg.cluster.n_nodes < 3) cfg.cluster.n_nodes = 4;
+        cfg.shape = WorkloadShape::kMixed;
+        cfg.mix.create = a.real("creates", 0.6);
+        cfg.mix.remove = a.real("deletes", 0.25);
+        cfg.n_dirs = static_cast<std::uint32_t>(a.num("dirs", 8));
+        // Four nodes unless --nodes asks for three or more.
+        if (a.num("nodes", 2) < 3) {
+          cfg.cluster.n_nodes = std::max<std::uint32_t>(4, cf.participants);
+        }
         cfg.cluster.record_history = true;
         cfg.source.concurrency =
             static_cast<std::uint32_t>(a.num("concurrency", 8));
         cfg.source.max_ops = static_cast<std::uint64_t>(a.num("ops", 2000));
-        return run_mixed(cfg, mix, dirs);
+        return run_experiment(cfg);
       });
   print_results(cf.protocols, results, cf.csv);
   return 0;
@@ -191,9 +201,9 @@ int cmd_sweep(const Args& a) {
         } else if (param == "concurrency") {
           cfg.source.concurrency = static_cast<std::uint32_t>(c.value);
         } else if (param == "dirs") {
-          cfg.n_directories = static_cast<std::uint32_t>(c.value);
+          cfg.n_dirs = static_cast<std::uint32_t>(c.value);
         }
-        return run_create_storm(cfg);
+        return run_experiment(cfg);
       });
 
   TextTable table({param, "protocol", "ops_per_second",
@@ -385,7 +395,7 @@ bool run_traced_storm(const Args& a, TracedStorm& out) {
   out.proto = cf.protocols[0];
   ExperimentConfig cfg = config_from_args(a, cf, out.proto);
   cfg.trace = true;
-  out.result = run_create_storm(cfg);
+  out.result = run_experiment(cfg);
   out.spans = obs::assemble_spans(out.result.trace_events, &out.result.phases);
 
   obs::ReportInputs in;
@@ -897,9 +907,9 @@ int cmd_help(const Args&) {
       "  --duration 10s     run window (10s, 500ms, ...; or --seconds N)\n"
       "  --report FILE      write the run's RunReport JSON\n"
       "  --csv              machine-readable output\n"
-      "  --participants 2   MDSs per transaction (storm/rtstorm/chaos/\n"
-      "                     loadgen; >2 spreads each create over N-1\n"
-      "                     workers and 1PC degrades to pra)\n"
+      "  --participants 2   MDSs per transaction (storm/mixed/rtstorm/\n"
+      "                     chaos/loadgen; >2 spreads each create over\n"
+      "                     N-1 workers and 1PC degrades to pra)\n"
       "\n"
       "storm/mixed/sweep flags (with defaults):\n"
       "  --nodes 2          metadata servers\n"
