@@ -4,9 +4,9 @@
 // sweeps keep their first point(s), simulated windows shrink from tens of
 // seconds to half a second.  The numbers printed under smoke are
 // meaningless — the mode exists so `ctest -L bench` executes every bench's
-// code path on every tier-1 run and a refactor cannot bit-rot a figure
-// binary silently.  Exit-code checks (invariants, abort-freedom, Table I
-// exactness) still apply where the shrunk run keeps them meaningful.
+// code path on every tier-1 run and a refactor cannot bit-rot a bench
+// binary silently.  Exit-code checks (invariants, abort-freedom) still apply
+// where the shrunk run keeps them meaningful; PaperTableOne pins Table I.
 #pragma once
 
 #include <cstring>

@@ -7,7 +7,7 @@
 //   1. Debugging — a human-readable interleaved history of a run.
 //   2. Reproducing the paper's Figures 2–5 — each figure is a message
 //      sequence chart, which we re-derive from the trace of one
-//      distributed CREATE (see bench/bench_fig2to5_timelines.cc).
+//      distributed CREATE (see `opc timeline`, src/core/timeline.cc).
 //   3. Determinism checking — a FNV-1a hash over the full trace must be
 //      identical across runs with the same seed (tests/sim/*).
 #pragma once

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -120,6 +121,63 @@ TEST(CliSmoke, DurationSpellingsParse) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("1PC"), std::string::npos) << r.output;
 }
+
+// Table I, Figs. 2-5 and Ablations A-C are reproduced by these verbs.
+TEST(CliSmoke, Table1PrintsFiveProtocolRows) {
+  const RunResult r = run("table1");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  for (const char* proto : {"PrN", "PrC", "EP", "1PC", "PrA"}) {
+    EXPECT_NE(r.output.find(std::string("\n| ") + proto + " "),
+              std::string::npos) << r.output;
+  }
+}
+
+TEST(CliSmoke, TimelinePrintsChartHeader) {
+  const RunResult r = run("timeline --proto 1pc");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("=== 1PC: one distributed CREATE ==="),
+            std::string::npos) << r.output;
+}
+
+TEST(CliSmoke, SweepRunsOneRowPerProtocol) {
+  const RunResult r =
+      run("sweep --param dirs --values 1 --proto all --seconds 2 --csv");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  // A header line plus one row per protocol.
+  EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 5) << r.output;
+}
+
+// Malformed input exits 2 naming the flag, before any run starts: never a
+// SIM_CHECK abort (134), never a run with a silently bent value.
+struct Malformed {
+  const char* name;
+  const char* args;
+  const char* message;
+};
+
+const Malformed kMalformed[] = {
+    {"ZeroDirs", "storm --dirs 0", "--dirs"},
+    {"ZeroDiskBandwidth", "storm --disk-bw 0", "--disk-bw"},
+    {"NegativeLatency", "storm --net-latency-us -5", "--net-latency-us"},
+    {"ZeroConcurrency", "storm --concurrency 0", "--concurrency"},
+    {"SweepZeroDirs", "sweep --param dirs --values 0", "--dirs"},
+    {"SweepUnknownParam", "sweep --param foo --values 1,2", "usage"},
+    {"SweepUnparsedValue", "sweep --param dirs --values 4,x", "'x'"},
+};
+
+class CliMalformed : public ::testing::TestWithParam<Malformed> {};
+
+TEST_P(CliMalformed, ExitsTwoWithMessage) {
+  // A short 1PC window keeps a regression that does start a run cheap.
+  const RunResult r =
+      run(std::string(GetParam().args) + " --proto 1pc --duration 250ms");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find(GetParam().message), std::string::npos) << r.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(CliSmoke, CliMalformed,
+                         ::testing::ValuesIn(kMalformed),
+                         [](const auto& info) { return info.param.name; });
 
 TEST(CliSmoke, RtstormPrintsTimerLateness) {
   // The worker wake-up accuracy (RtEnv dispatch lateness) sits next to

@@ -16,11 +16,18 @@ ExperimentConfig short_fig6(ProtocolKind proto) {
 }
 
 TEST(Fig6Shape, OnePcBeatsTwoPcFamilyByPaperMargin) {
-  const double prn = run_experiment(short_fig6(ProtocolKind::kPrN)).ops_per_second;
-  const double prc = run_experiment(short_fig6(ProtocolKind::kPrC)).ops_per_second;
-  const double ep = run_experiment(short_fig6(ProtocolKind::kEP)).ops_per_second;
-  const double onepc =
-      run_experiment(short_fig6(ProtocolKind::kOnePC)).ops_per_second;
+  double ops[4] = {};  // kAllProtocols order: PrN, PrC, EP, 1PC
+  int i = 0;
+  for (ProtocolKind p : kAllProtocols) {
+    const ExperimentResult r = run_experiment(short_fig6(p));
+    // Every protocol's storm must be clean, not only the winner's.
+    EXPECT_EQ(r.invariant_violations, 0u)
+        << protocol_name(p) << ": " << r.violation_report;
+    EXPECT_EQ(r.aborted, 0u) << protocol_name(p);
+    EXPECT_EQ(r.lost, 0u) << protocol_name(p);
+    ops[i++] = r.ops_per_second;
+  }
+  const double prn = ops[0], prc = ops[1], ep = ops[2], onepc = ops[3];
 
   // Paper: PrN 15, PrC ~15, EP 16, 1PC 24 (+>50 %).  We require the shape:
   // absolute values in the same band, ordering preserved, 1PC's win > 40 %.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs drift gate (CI `docs` job).
 
-Three checks, all grep-based and dependency-free:
+Four checks, all grep-based and dependency-free:
 
  1. Every TraceKind enumerator (src/sim/trace.h) and every PhaseId
     enumerator (src/obs/phase.h) must appear in docs/OBSERVABILITY.md.
@@ -11,11 +11,15 @@ Three checks, all grep-based and dependency-free:
     wildcard patterns ("disk.*.writes") that must appear verbatim.
  3. Every relative markdown link in the repo's *.md files must point at an
     existing file.
+ 4. Every `bench_<name>` token in README.md, DESIGN.md, EXPERIMENTS.md and
+    docs/*.md must name a target in bench/CMakeLists.txt (a prefix such as
+    `bench_ablation_` must match one); `bench_<name>.cc|.py` a file.
 
 `--self-test` proves the gate actually bites: it re-runs check 2 against a
-copy of the docs with one documented counter deleted and fails unless the
-checker reports it.  CI runs both modes, so a TraceKind or counter landing
-without documentation turns the docs job red.
+copy of the docs with one documented counter deleted, and check 4 with a
+deleted bench planted in the README, and fails unless both are reported.
+CI runs both modes, so a TraceKind or counter landing without
+documentation, or a doc naming a deleted bench, turns the docs job red.
 """
 
 import argparse
@@ -132,6 +136,34 @@ def check_markdown_links():
     return errors
 
 
+BENCH_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md"]
+BENCH_TOKEN_RE = re.compile(r"\bbench_[a-z0-9_]*(\.(?:cc|py)\b)?")
+
+
+def bench_doc_texts():
+    return {str(p.relative_to(REPO)): p.read_text()
+            for pattern in BENCH_DOCS for p in sorted(REPO.glob(pattern))}
+
+
+def check_bench_names(doc_texts):
+    targets = set(re.findall(r"(?:opc_add_bench|add_executable)\(\s*(\w+)",
+                             (REPO / "bench/CMakeLists.txt").read_text()))
+    files = {p.name for top in REPO.iterdir() if top.is_dir()
+             and not top.name.startswith((".", "build"))
+             for p in top.rglob("bench_*")}
+    errors = []
+    for rel, text in doc_texts.items():
+        for m in BENCH_TOKEN_RE.finditer(text):
+            token = m.group(0)
+            known = files if m.group(1) else targets
+            if not any(k == token or token.endswith("_") and k.startswith(token)
+                       for k in known):
+                line = text.count("\n", 0, m.start()) + 1
+                errors.append(f"{rel}:{line}: '{token}' names no bench "
+                              "target or file")
+    return errors
+
+
 def run_checks(doc_text):
     errors = []
     trace_kinds = extract_enumerators(REPO / "src/sim/trace.h", "TraceKind")
@@ -156,6 +188,13 @@ def self_test():
     print(f"self-test ok: removing '{victim}' from docs is detected "
           f"({len(missing)} error(s) reported)")
 
+    texts = bench_doc_texts()
+    stale = "bench_fig6_throughput"
+    texts["README.md"] += f"\nRun `build/bench/{stale}`.\n"
+    if not any(stale in e for e in check_bench_names(texts)):
+        fail([f"self-test: a stale '{stale}' reference was NOT detected"])
+    print(f"self-test ok: a stale '{stale}' reference is detected")
+
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
@@ -171,9 +210,10 @@ def main():
 
     errors = run_checks(OBS_DOC.read_text())
     errors += check_markdown_links()
+    errors += check_bench_names(bench_doc_texts())
     if errors:
         fail(errors)
-    print("docs ok: trace kinds, phase ids, counters and markdown links")
+    print("docs ok: trace kinds, phase ids, counters, links, bench names")
 
 
 if __name__ == "__main__":

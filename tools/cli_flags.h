@@ -47,7 +47,6 @@ class Args {
     }
   }
 
-  [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] std::string str(const std::string& key,
                                 const std::string& dflt) const {
     auto it = kv_.find(key);
@@ -76,7 +75,6 @@ class Args {
  private:
   std::map<std::string, std::string> kv_;
   std::vector<std::string> pos_;
-  bool ok_ = true;
 };
 
 inline bool parse_protocols(const std::string& s,

@@ -5,7 +5,7 @@
 //
 //   opc storm  --proto 1pc --concurrency 100 --seconds 30
 //   opc storm  --proto all --net-latency-us 5000 --csv
-//   opc mixed  --nodes 8 --dirs 16 --ops 5000 --renames 0.1
+//   opc mixed  --nodes 8 --dirs 16 --ops 5000 --creates 0.5 --deletes 0.3
 //   opc sweep  --param disk-bw --values 102400,409600,1638400 --csv
 //   opc serve  --protocol 1pc --nodes 3 --uds /tmp/opc.sock
 //   opc loadgen --uds /tmp/opc.sock --rate 20000 --duration 10s
@@ -80,6 +80,47 @@ ExperimentConfig config_from_args(const Args& a, const CommonFlags& cf,
   return cfg;
 }
 
+/// Checks every cell, then runs them in parallel (results in cell order).
+/// Returns the exit status: 2 when a cell holds a value the simulator would
+/// abort on (a SIM_CHECK) or silently bend (concurrency 0 running as 1), in
+/// which case the message names the flag and no cell runs; 1 when a run
+/// broke an invariant; else 0.  Upper bounds keep a typo, or a negative
+/// value wrapped to a huge unsigned one, from sizing a run past memory.
+int run_cells(const std::vector<ExperimentConfig>& cells,
+              std::vector<ExperimentResult>& results) {
+  for (const ExperimentConfig& c : cells) {
+    const Duration latency = c.cluster.net.latency;
+    const std::pair<bool, const char*> rules[] = {
+        {c.cluster.n_nodes <= 1024, "--nodes must be at most 1024"},
+        {c.n_dirs >= 1 && c.n_dirs <= 65536, "--dirs must be in [1, 65536]"},
+        {c.source.concurrency >= 1 && c.source.concurrency <= 65536,
+         "--concurrency must be in [1, 65536]"},
+        {c.batch >= 1 && c.batch <= 4096, "--batch must be in [1, 4096]"},
+        {latency >= Duration::zero() && latency <= Duration::seconds(60),
+         "--net-latency-us must be in [0, 60000000]"},
+        {c.cluster.disk.bytes_per_second >= 1.0, "--disk-bw must be >= 1"},
+        {c.cluster.wal.force_pad_to <= (1u << 30),
+         "--block must be in [0, 1073741824]"},
+        {c.run_for > Duration::zero(), "--duration/--seconds must be > 0"},
+        {c.mix.create >= 0 && c.mix.remove >= 0 &&
+             c.mix.create + c.mix.remove <= 1.0,
+         "--creates and --deletes must be >= 0 and sum to at most 1"},
+    };
+    for (const auto& [ok, rule] : rules) {
+      if (!ok) {
+        std::fprintf(stderr, "%s\n", rule);
+        return 2;
+      }
+    }
+  }
+  results = ParallelSweep::map<ExperimentConfig, ExperimentResult>(
+      cells, run_experiment);
+  for (const auto& r : results) {
+    if (r.invariant_violations != 0) return 1;
+  }
+  return 0;
+}
+
 void print_results(const std::vector<ProtocolKind>& protos,
                    const std::vector<ExperimentResult>& results, bool csv) {
   TextTable table({"protocol", "ops_per_second", "committed", "aborted",
@@ -109,15 +150,16 @@ int run_storm_cmd(const Args& a, bool batch_mode) {
                  "shapes; use storm --participants N\n");
     return 2;
   }
-  const auto results = ParallelSweep::map<ProtocolKind, ExperimentResult>(
-      cf.protocols, [&](const ProtocolKind& p) {
-        ExperimentConfig cfg = config_from_args(a, cf, p);
-        if (batch_mode) {
-          cfg.batch = static_cast<std::uint32_t>(a.num("batch", 1));
-        }
-        if (a.flag("trace-hash")) cfg.trace = true;
-        return run_experiment(cfg);
-      });
+  std::vector<ExperimentConfig> cells;
+  for (ProtocolKind p : cf.protocols) {
+    ExperimentConfig cfg = config_from_args(a, cf, p);
+    if (batch_mode) cfg.batch = static_cast<std::uint32_t>(a.num("batch", 1));
+    cfg.trace = a.flag("trace-hash");
+    cells.push_back(cfg);
+  }
+  std::vector<ExperimentResult> results;
+  const int rc = run_cells(cells, results);
+  if (rc == 2) return rc;
   print_results(cf.protocols, results, cf.csv);
   if (a.flag("trace-hash")) {
     // The run's full-history FNV hash: equal seeds must print equal hashes
@@ -128,10 +170,7 @@ int run_storm_cmd(const Args& a, bool batch_mode) {
                   static_cast<unsigned long long>(results[i].trace_hash));
     }
   }
-  for (const auto& r : results) {
-    if (r.invariant_violations != 0) return 1;
-  }
-  return 0;
+  return rc;
 }
 
 int cmd_storm(const Args& a) { return run_storm_cmd(a, /*batch_mode=*/false); }
@@ -140,83 +179,126 @@ int cmd_batch(const Args& a) { return run_storm_cmd(a, /*batch_mode=*/true); }
 int cmd_mixed(const Args& a) {
   CommonFlags cf;
   if (!parse_common(a, "1pc", 30, cf)) return 2;
-  const auto results = ParallelSweep::map<ProtocolKind, ExperimentResult>(
-      cf.protocols, [&](const ProtocolKind& p) {
-        ExperimentConfig cfg = config_from_args(a, cf, p);
-        cfg.shape = WorkloadShape::kMixed;
-        cfg.mix.create = a.real("creates", 0.6);
-        cfg.mix.remove = a.real("deletes", 0.25);
-        cfg.n_dirs = static_cast<std::uint32_t>(a.num("dirs", 8));
-        // Four nodes unless --nodes asks for three or more.
-        if (a.num("nodes", 2) < 3) {
-          cfg.cluster.n_nodes = std::max<std::uint32_t>(4, cf.participants);
-        }
-        cfg.cluster.record_history = true;
-        cfg.source.concurrency =
-            static_cast<std::uint32_t>(a.num("concurrency", 8));
-        cfg.source.max_ops = static_cast<std::uint64_t>(a.num("ops", 2000));
-        return run_experiment(cfg);
-      });
+  std::vector<ExperimentConfig> cells;
+  for (ProtocolKind p : cf.protocols) {
+    ExperimentConfig cfg = config_from_args(a, cf, p);
+    cfg.shape = WorkloadShape::kMixed;
+    // Renames take whatever --creates and --deletes leave.
+    cfg.mix.create = a.real("creates", 0.6);
+    cfg.mix.remove = a.real("deletes", 0.25);
+    cfg.n_dirs = static_cast<std::uint32_t>(a.num("dirs", 8));
+    // Four nodes unless --nodes asks for three or more.
+    if (a.num("nodes", 2) < 3) {
+      cfg.cluster.n_nodes = std::max<std::uint32_t>(4, cf.participants);
+    }
+    cfg.cluster.record_history = true;
+    cfg.source.concurrency =
+        static_cast<std::uint32_t>(a.num("concurrency", 8));
+    cfg.source.max_ops = static_cast<std::uint64_t>(a.num("ops", 2000));
+    cells.push_back(cfg);
+  }
+  std::vector<ExperimentResult> results;
+  const int rc = run_cells(cells, results);
+  if (rc == 2) return rc;
   print_results(cf.protocols, results, cf.csv);
-  return 0;
+  return rc;
+}
+
+/// Parses "v1,v2,..."; false (with a message) on an entry that is not a
+/// number.  The magnitude bound keeps every value in range of an int64.
+bool parse_values(const std::string& text, std::vector<double>& out) {
+  for (std::size_t pos = 0, comma = 0; comma != std::string::npos;
+       pos = comma + 1) {
+    comma = text.find(',', pos);
+    const std::string item = text.substr(pos, comma - pos);
+    char* end = nullptr;
+    out.push_back(std::strtod(item.c_str(), &end));
+    if (item.empty() || *end != '\0' || !(std::abs(out.back()) <= 1e15)) {
+      std::fprintf(stderr, "bad --values entry '%s' (want a number)\n",
+                   item.c_str());
+      return false;
+    }
+  }
+  return true;
 }
 
 int cmd_sweep(const Args& a) {
   const std::string param = a.str("param", "");
-  const std::string values = a.str("values", "");
-  if (param.empty() || values.empty()) {
-    std::fprintf(stderr,
-                 "usage: opc sweep --param "
-                 "(net-latency-us|disk-bw|concurrency|dirs) --values "
-                 "v1,v2,... [--proto all] [--csv]\n");
+  std::vector<double> vals;
+  CommonFlags cf;
+  if (!parse_values(a.str("values", ""), vals) ||
+      !parse_common(a, "all", 30, cf)) {
     return 2;
   }
-  std::vector<double> vals;
-  std::size_t pos = 0;
-  while (pos < values.size()) {
-    const std::size_t comma = values.find(',', pos);
-    vals.push_back(std::atof(values.substr(pos, comma - pos).c_str()));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  CommonFlags cf;
-  if (!parse_common(a, "all", 30, cf)) return 2;
-
-  struct Cell {
-    double value;
-    ProtocolKind proto;
+  // Each --param sets its namesake flag's field; a negative integer wraps.
+  const auto u32 = [](double v) {
+    return static_cast<std::uint32_t>(static_cast<std::int64_t>(v));
   };
-  std::vector<Cell> cells;
+  std::vector<ExperimentConfig> cells;
   for (double v : vals) {
-    for (ProtocolKind p : cf.protocols) cells.push_back({v, p});
+    for (ProtocolKind p : cf.protocols) {
+      ExperimentConfig cfg = config_from_args(a, cf, p);
+      if (param == "net-latency-us") {
+        cfg.cluster.net.latency =
+            Duration::micros(static_cast<std::int64_t>(v));
+      } else if (param == "disk-bw") {
+        cfg.cluster.disk.bytes_per_second = v;
+      } else if (param == "concurrency") {
+        cfg.source.concurrency = u32(v);
+      } else if (param == "dirs") {
+        cfg.n_dirs = u32(v);
+      } else {
+        std::fprintf(stderr,
+                     "usage: opc sweep --param "
+                     "(net-latency-us|disk-bw|concurrency|dirs) --values "
+                     "v1,v2,... [--proto all] [--csv]\n");
+        return 2;
+      }
+      cells.push_back(cfg);
+    }
   }
-  const auto results = ParallelSweep::map<Cell, ExperimentResult>(
-      cells, [&](const Cell& c) {
-        ExperimentConfig cfg = config_from_args(a, cf, c.proto);
-        if (param == "net-latency-us") {
-          cfg.cluster.net.latency =
-              Duration::micros(static_cast<std::int64_t>(c.value));
-        } else if (param == "disk-bw") {
-          cfg.cluster.disk.bytes_per_second = c.value;
-        } else if (param == "concurrency") {
-          cfg.source.concurrency = static_cast<std::uint32_t>(c.value);
-        } else if (param == "dirs") {
-          cfg.n_dirs = static_cast<std::uint32_t>(c.value);
-        }
-        return run_experiment(cfg);
-      });
+  std::vector<ExperimentResult> results;
+  const int rc = run_cells(cells, results);
+  if (rc == 2) return rc;
 
   TextTable table({param, "protocol", "ops_per_second",
                    "invariant_violations"});
+  const std::size_t n = cf.protocols.size();
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    table.add_row({TextTable::num(cells[i].value, 0),
-                   std::string(protocol_name(cells[i].proto)),
+    table.add_row({TextTable::num(vals[i / n], 0),
+                   std::string(protocol_name(cf.protocols[i % n])),
                    TextTable::num(results[i].ops_per_second, 3),
                    std::to_string(results[i].invariant_violations)});
   }
   std::fputs(cf.csv ? table.render_csv().c_str() : table.render().c_str(),
              stdout);
-  return 0;
+  return rc;
+}
+
+// Whole-file I/O for repro files, reports and traces; failures name the file.
+bool read_file(const std::string& path, std::string& out) {
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+    return false;
+  }
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    out.append(buf, n);
+  }
+  std::fclose(f);
+  return true;
+}
+
+bool write_file(const std::string& path, const std::string& data) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
+    return false;
+  }
+  std::fwrite(data.data(), 1, data.size(), f);
+  std::fclose(f);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -230,18 +312,8 @@ std::string describe_schedule(const FaultSchedule& s) {
 }
 
 int chaos_replay(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open repro file '%s'\n", path.c_str());
-    return 2;
-  }
   std::string text;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
-
+  if (!read_file(path, text)) return 2;
   ChaosRunConfig cfg;
   FaultSchedule schedule;
   if (!parse_repro(text, cfg, schedule)) {
@@ -334,15 +406,10 @@ int cmd_chaos(const Args& a) {
               render_failures(shrunk.result.failures).c_str());
 
   const std::string out_path = a.str("out", "chaos.repro");
-  const std::string repro = render_repro(rcfg, shrunk.minimal);
-  if (FILE* f = std::fopen(out_path.c_str(), "wb"); f != nullptr) {
-    std::fwrite(repro.data(), 1, repro.size(), f);
-    std::fclose(f);
+  if (write_file(out_path, render_repro(rcfg, shrunk.minimal))) {
     std::printf("\nrepro written to %s — replay with: opc chaos --replay "
                 "%s\n",
                 out_path.c_str(), out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write repro file '%s'\n", out_path.c_str());
   }
   return 1;
 }
@@ -350,31 +417,6 @@ int cmd_chaos(const Args& a) {
 // ---------------------------------------------------------------------------
 // opc trace — span assembly, exporters, run reports (docs/OBSERVABILITY.md).
 // ---------------------------------------------------------------------------
-
-bool read_file(const std::string& path, std::string& out) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-    return false;
-  }
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
-    out.append(buf, n);
-  }
-  std::fclose(f);
-  return true;
-}
-
-bool write_file(const std::string& path, const std::string& data) {
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
-    return false;
-  }
-  std::fwrite(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  return true;
-}
 
 struct TracedStorm {
   ProtocolKind proto = ProtocolKind::kOnePC;
@@ -395,7 +437,9 @@ bool run_traced_storm(const Args& a, TracedStorm& out) {
   out.proto = cf.protocols[0];
   ExperimentConfig cfg = config_from_args(a, cf, out.proto);
   cfg.trace = true;
-  out.result = run_experiment(cfg);
+  std::vector<ExperimentResult> results;
+  if (run_cells({cfg}, results) == 2) return false;
+  out.result = std::move(results[0]);
   out.spans = obs::assemble_spans(out.result.trace_events, &out.result.phases);
 
   obs::ReportInputs in;
@@ -922,6 +966,8 @@ int cmd_help(const Args&) {
       "  --crash-period-ms 0  inject worker crashes on a period\n"
       "  --batch 1          creates per transaction (batch subcommand)\n"
       "  --trace-hash       print the run's history hash (storm)\n"
+      "  --ops 2000 --creates 0.6 --deletes 0.25   mixed op count and mix\n"
+      "                     (renames take the rest)\n"
       "\n"
       "rtstorm flags (with defaults):\n"
       "  --nodes 2          one worker thread per node\n"
@@ -976,7 +1022,6 @@ int cmd_help(const Args&) {
 int main(int argc, char** argv) {
   const std::string cmd = argc < 2 ? "help" : argv[1];
   const Args args(argc, argv, 2);
-  if (!args.ok()) return 2;
   for (const Verb& v : kVerbs) {
     if (cmd == v.name) return v.fn(args);
   }
