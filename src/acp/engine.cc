@@ -77,10 +77,13 @@ void AcpEngine::destroy_work(TxnId id) {
   }
 }
 
-std::optional<TxnOutcome> AcpEngine::outcome_of(TxnId txn) const {
-  const TxnOutcome* p = finished_.find(txn);
-  if (p == nullptr) return std::nullopt;
-  return *p;
+void AcpEngine::remember_outcome(TxnId id, TxnOutcome outcome) {
+  if (outcome == TxnOutcome::kAborted) aborted_txns_.insert(id);
+}
+
+void AcpEngine::checkpoint(TxnId id) {
+  wal_.partition().truncate_txn(id);
+  store_.forget_applied(id);
 }
 
 LockMode AcpEngine::mode_for(const std::vector<Operation>& ops, ObjectId obj) {
@@ -297,7 +300,7 @@ void AcpEngine::acquire_next_lock(TxnId id) {
           trace_.record(env_.now(), TraceKind::kTxnAbort, self_.str(),
                         "lock timeout before start", id);
         }
-        finished_[id] = TxnOutcome::kAborted;
+        aborted_txns_.insert(id);
         destroy_coord(id);
       });
 }
@@ -314,7 +317,7 @@ void AcpEngine::run_local_fastpath(TxnId id) {
       locks_.release_all(id);
       if (history_ != nullptr) history_->record_abort(id);
       reply_client(*ct, TxnOutcome::kAborted);
-      finished_[id] = TxnOutcome::kAborted;
+      aborted_txns_.insert(id);
       destroy_coord(id);
       return;
     }
@@ -357,7 +360,7 @@ void AcpEngine::run_local_fastpath(TxnId id) {
                  locks_.release_all(id);
                  if (history_ != nullptr) history_->record_commit(id);
                  reply_client(*c2, TxnOutcome::kCommitted);
-                 wal_.partition().truncate_txn(id);
+                 checkpoint(id);
                  finish_coordination(id, TxnOutcome::kCommitted);
                });
   });
@@ -539,8 +542,9 @@ void AcpEngine::on_updated(TxnId id, const Msg& m) {
     // already resolves that worker, and answering would tax every abort
     // with a redundant message.
     if (!m.nudge) return;
-    const TxnOutcome* fin = finished_.find(id);
-    const TxnOutcome out = fin != nullptr ? *fin : presumed_outcome(m.proto);
+    const TxnOutcome out = aborted_txns_.contains(id)
+                               ? TxnOutcome::kAborted
+                               : presumed_outcome(m.proto);
     Msg r;
     r.type = out == TxnOutcome::kCommitted ? MsgType::kCommit
                                            : MsgType::kAbort;
@@ -695,7 +699,7 @@ void AcpEngine::on_commit_durable(TxnId id) {
     arm_response_timer(id);
     return;
   }
-  wal_.partition().truncate_txn(id);
+  checkpoint(id);
   finish_coordination(id, TxnOutcome::kCommitted);
 }
 
@@ -716,7 +720,7 @@ void AcpEngine::on_all_acked(TxnId id) {
   wal_.lazy(ended_record(id, outcome),
             WriteTag{"ended", outcome == TxnOutcome::kCommitted});
   reply_client(*ct, outcome);
-  wal_.partition().truncate_txn(id);
+  checkpoint(id);
   finish_coordination(id, outcome);
 }
 
@@ -739,7 +743,7 @@ void AcpEngine::abort_coordination(TxnId id, const std::string& why) {
     // Presumed abort: no abort record, no acknowledgement round.  Workers
     // (and anyone asking later) infer abort from the absence of log state.
     if (ct->reqs_sent) send_decision_round(*ct, MsgType::kAbort);
-    wal_.partition().truncate_txn(id);
+    checkpoint(id);
     finish_coordination(id, TxnOutcome::kAborted);
     return;
   }
@@ -751,7 +755,7 @@ void AcpEngine::abort_coordination(TxnId id, const std::string& why) {
   // transaction.
   const bool workers_contacted = ct->reqs_sent;
   if (ct->txn.is_local() || !workers_contacted) {
-    wal_.partition().truncate_txn(id);
+    checkpoint(id);
     finish_coordination(id, TxnOutcome::kAborted);
     return;
   }
@@ -806,7 +810,7 @@ void AcpEngine::finish_coordination(TxnId id, TxnOutcome outcome) {
   env_.cancel(ct->response_timer);
   env_.cancel(ct->retry_timer);
   const bool was_recovered = ct->recovered;
-  finished_[id] = outcome;
+  remember_outcome(id, outcome);
   destroy_coord(id);
   if (was_recovered && recovery_outstanding_ > 0) {
     --recovery_outstanding_;
@@ -846,19 +850,12 @@ void AcpEngine::worker_handle_update_req(Msg& m) {
     }
     return;
   }
-  if (const TxnOutcome* fin = finished_.find(id); fin != nullptr) {
+  if (aborted_txns_.contains(id)) {
     Msg r;
+    r.type = MsgType::kNotUpdated;
     r.txn = id;
     r.proto = m.proto;
-    if (*fin == TxnOutcome::kCommitted) {
-      r.type = MsgType::kUpdated;
-      r.prepared = true;
-      r.committed = true;
-      send(m.from, std::move(r), /*extra=*/false, /*critical=*/false);
-    } else {
-      r.type = MsgType::kNotUpdated;
-      send(m.from, std::move(r), /*extra=*/false, /*critical=*/false);
-    }
+    send(m.from, std::move(r), /*extra=*/false, /*critical=*/false);
     return;
   }
 
@@ -1085,11 +1082,9 @@ void AcpEngine::worker_commit(TxnId id) {
       r.txn = id;
       r.proto = w->proto;
       send(w->coord, std::move(r), /*extra=*/true, /*critical=*/true);
-      wal_.partition().truncate_txn(id);
-      finished_[id] = TxnOutcome::kCommitted;
+      checkpoint(id);
       destroy_work(id);
     } else {  // PrC / EP: no acknowledgement
-      finished_[id] = TxnOutcome::kCommitted;
       destroy_work(id);
     }
   };
@@ -1116,18 +1111,9 @@ void AcpEngine::worker_handle_prepare_req(const Msg& m) {
   const TxnId id = m.txn;
   WorkTxn* wt = work_of(id);
   if (wt == nullptr) {
-    if (const TxnOutcome* fin = finished_.find(id);
-        fin != nullptr && *fin == TxnOutcome::kCommitted) {
-      // Already committed and forgotten: the coordinator must have lost our
-      // earlier reply; only COMMIT/ACK remains meaningful.
-      Msg r;
-      r.type = MsgType::kPrepared;
-      r.txn = id;
-      r.proto = m.proto;
-      send(m.from, std::move(r), /*extra=*/true, /*critical=*/false);
-      return;
-    }
     // Rebooted before preparing: nothing in the log, vote no (paper §II-C).
+    // A worker that committed is never asked: the coordinator sends its
+    // PREPARE_REQs before the decision that let the worker commit.
     Msg r;
     r.type = MsgType::kNotPrepared;
     r.txn = id;
@@ -1187,8 +1173,8 @@ void AcpEngine::worker_handle_abort(const Msg& m) {
   locks_.release_all(id);
   if (traits(wt->proto).silent_abort) {
     // Presumed abort: drop the prepared state, write nothing, ACK nothing.
-    wal_.partition().truncate_txn(id);
-    finished_[id] = TxnOutcome::kAborted;
+    checkpoint(id);
+    aborted_txns_.insert(id);
     destroy_work(id);
     return;
   }
@@ -1207,7 +1193,7 @@ void AcpEngine::worker_handle_abort(const Msg& m) {
   r.txn = id;
   r.proto = wt->proto;
   send(wt->coord, std::move(r), /*extra=*/true, /*critical=*/false);
-  finished_[id] = TxnOutcome::kAborted;
+  aborted_txns_.insert(id);
   destroy_work(id);
 }
 
@@ -1226,7 +1212,7 @@ void AcpEngine::worker_veto(TxnId id, MsgType reply_type,
   r.txn = id;
   r.proto = wt->proto;
   send(wt->coord, std::move(r), /*extra=*/false, /*critical=*/false);
-  finished_[id] = TxnOutcome::kAborted;
+  aborted_txns_.insert(id);
   destroy_work(id);
 }
 
@@ -1302,8 +1288,7 @@ void AcpEngine::on_message(Envelope env) {
         env_.cancel(wt->retry_timer);
         wal_.lazy(ended_record(m.txn, TxnOutcome::kCommitted),
                   WriteTag{"ended", /*critical=*/false});
-        wal_.partition().truncate_txn(m.txn);
-        finished_[m.txn] = TxnOutcome::kCommitted;
+        checkpoint(m.txn);
         destroy_work(m.txn);
       }
       break;
@@ -1349,7 +1334,7 @@ void AcpEngine::crash() {
   });
   coord_.clear();
   work_.clear();
-  finished_.clear();
+  aborted_txns_.clear();
   queued_submissions_.clear();
   deferred_msgs_.clear();
   // Holds this node took on other nodes' fences must not outlive it, or the

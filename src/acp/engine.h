@@ -19,7 +19,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -104,12 +103,14 @@ class AcpEngine {
   [[nodiscard]] std::size_t work_pool_parked() const {
     return work_pool_.parked();
   }
-  [[nodiscard]] std::optional<TxnOutcome> outcome_of(TxnId txn) const;
   [[nodiscard]] const Histogram& client_latency() const { return latency_; }
   [[nodiscard]] std::uint64_t committed_count() const { return committed_; }
   [[nodiscard]] std::uint64_t aborted_count() const { return aborted_; }
-  /// Transactions whose outcome this engine remembers (never pruned).
-  [[nodiscard]] std::size_t finished_count() const { return finished_.size(); }
+  /// Finished transactions whose outcome this engine still remembers: the
+  /// aborts since the last crash (see aborted_txns_).
+  [[nodiscard]] std::size_t finished_count() const {
+    return aborted_txns_.size();
+  }
 
  private:
   // ---- per-transaction coordinator state ----
@@ -285,6 +286,13 @@ class AcpEngine {
   [[nodiscard]] CoordTxn* coord_of(TxnId id);
   [[nodiscard]] WorkTxn* work_of(TxnId id);
   void run_local_fastpath(TxnId id);
+  /// Keeps a finished transaction's outcome for late messages: an abort is
+  /// remembered, a commit is forgotten (see aborted_txns_).
+  void remember_outcome(TxnId id, TxnOutcome outcome);
+  /// Checkpoint: drops the transaction's records from this node's log
+  /// partition, after which no recovery can replay it, so the store may
+  /// forget that it applied it.
+  void checkpoint(TxnId id);
 
   // ---- pooled txn-state lifecycle ----
   // acquire a reset object from the pool and index it; the id must be new.
@@ -332,7 +340,17 @@ class AcpEngine {
   // capacity intact, so steady-state coordination never touches the heap.
   FlatMap<TxnId, CoordTxn*> coord_;
   FlatMap<TxnId, WorkTxn*> work_;
-  FlatMap<TxnId, TxnOutcome> finished_;
+  // Finished transactions that aborted, cleared only by a crash.  Commits
+  // are not kept: no message that could ask about one arrives after the
+  // node finished it.  A PrC/EP coordinator's commit is what its
+  // presumption answers anyway; a 1PC worker sends no nudged UPDATED or
+  // DECISION_REQ; every other question about a commit travels on a FIFO
+  // link ahead of the last ACK, or the COMMITTED/ACK, that let this node
+  // finish.  Aborts stay: a 1PC worker repeats NOT_UPDATED to a coordinator
+  // that re-drives from STARTED after telling its client "aborted", and a
+  // PrC/EP coordinator's abort contradicts its presumption while a worker
+  // may still ask.
+  FlatSet<TxnId> aborted_txns_;
   Pool<CoordTxn> coord_pool_;
   Pool<WorkTxn> work_pool_;
   std::deque<std::pair<Transaction, ClientCallback>> queued_submissions_;

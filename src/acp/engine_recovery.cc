@@ -2,6 +2,7 @@
 // §III-C).  Normal-case choreography lives in engine.cc.
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "acp/engine.h"
 #include "sim/check.h"
@@ -136,8 +137,8 @@ void AcpEngine::recover_coordinator_txn(TxnId id,
 
   switch (*state) {
     case RecordType::kEnded:
-      wal_.partition().truncate_txn(id);
-      finished_[id] = ended_outcome(recs, id);
+      checkpoint(id);
+      remember_outcome(id, ended_outcome(recs, id));
       return;
 
     case RecordType::kStarted:
@@ -210,8 +211,8 @@ void AcpEngine::resend_logged_decision(Transaction txn, ProtocolKind proto,
     tmp.txn = std::move(txn);
     tmp.proto = proto;
     send_decision_round(tmp, type);
-    wal_.partition().truncate_txn(id);
-    finished_[id] = outcome;
+    checkpoint(id);
+    remember_outcome(id, outcome);
     return;
   }
   // Keep resending the decision until every worker ACKs.
@@ -232,7 +233,7 @@ void AcpEngine::recover_worker_txn(TxnId id,
                                    const std::vector<LogRecord>& recs) {
   const auto state = last_state_in(recs, id);
   if (!state.has_value()) {
-    wal_.partition().truncate_txn(id);
+    checkpoint(id);
     return;
   }
   trace_.record(env_.now(), TraceKind::kRecoveryStep, self_.str(),
@@ -254,10 +255,8 @@ void AcpEngine::recover_worker_txn(TxnId id,
     SIM_CHECK(it != recs.rend());
     if (it->payload.size() < 5) {
       stats_.add("acp.recovery.coordinator_tombstone");
-      finished_[id] = *state == RecordType::kCommitted
-                          ? TxnOutcome::kCommitted
-                          : TxnOutcome::kAborted;
-      wal_.partition().truncate_txn(id);
+      if (*state == RecordType::kPrepared) aborted_txns_.insert(id);
+      checkpoint(id);
       return;
     }
   }
@@ -301,7 +300,6 @@ void AcpEngine::recover_worker_txn(TxnId id,
       });
       SIM_CHECK(it != recs.end());
       parse_worker_payload(*it, coord, proto);
-      finished_[id] = TxnOutcome::kCommitted;
       if (traits(proto).commit_on_update) {
         // Paper §III-C: ask the coordinator to resend the ACKNOWLEDGE so
         // the log can be finalized.
@@ -319,20 +317,20 @@ void AcpEngine::recover_worker_txn(TxnId id,
         arm_worker_retry(id, MsgType::kAckReq);
         return;
       }
-      // 2PC family: nothing to do (paper §II-C); a duplicate COMMIT will be
-      // re-ACKed from finished_.
-      wal_.partition().truncate_txn(id);
+      // 2PC family: nothing to do (paper §II-C); a duplicate COMMIT for a
+      // transaction this worker no longer tracks is re-ACKed.
+      checkpoint(id);
       return;
     }
 
     case RecordType::kAborted:
-      finished_[id] = TxnOutcome::kAborted;
-      wal_.partition().truncate_txn(id);
+      aborted_txns_.insert(id);
+      checkpoint(id);
       return;
 
     case RecordType::kEnded:
-      finished_[id] = ended_outcome(recs, id);
-      wal_.partition().truncate_txn(id);
+      remember_outcome(id, ended_outcome(recs, id));
+      checkpoint(id);
       return;
 
     default:
@@ -515,17 +513,18 @@ void AcpEngine::handle_decision_req(const Msg& m) {
     }
     return;  // undecided; the worker keeps retrying
   }
-  if (const TxnOutcome* fin = finished_.find(id); fin != nullptr) {
+  if (aborted_txns_.contains(id)) {
     Msg r;
     r.type = MsgType::kDecision;
     r.txn = id;
     r.proto = m.proto;
-    r.outcome = *fin;
+    r.outcome = TxnOutcome::kAborted;
     send(m.from, std::move(r), /*extra=*/true, /*critical=*/false);
     return;
   }
-  // No trace of the transaction: apply the protocol's presumption
-  // (paper §II-D: a finalized PrC log means commit; PrN presumes abort).
+  // No trace of the transaction, or a forgotten commit: apply the
+  // protocol's presumption (paper §II-D: a finalized PrC log means commit;
+  // PrN presumes abort, and no PrN worker asks after the last ACK).
   Msg r;
   r.type = MsgType::kDecision;
   r.txn = id;
@@ -550,7 +549,7 @@ void AcpEngine::handle_decision(const Msg& m) {
     locks_.release_all(id);
     wal_.lazy(state_record(RecordType::kAborted, id),
               WriteTag{"abort", false});
-    finished_[id] = TxnOutcome::kAborted;
+    aborted_txns_.insert(id);
     destroy_work(id);
   }
 }

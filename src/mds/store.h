@@ -35,7 +35,10 @@
 // reached the stable pages?" is answerable from the pages themselves; here
 // the simulator keeps the answer as part of stable state, so recovery can
 // replay a committed transaction exactly once no matter how often it is
-// re-driven.
+// re-driven.  Only a transaction with records in the node's own log, or
+// still in flight, can be replayed; the engine's checkpoint (which
+// truncates the log) calls forget_applied(), so the set holds no more than
+// that.
 //
 // Hot-path memory: the inode table is an open-addressing FlatMap, and the
 // per-transaction op and pre-image vectors are recycled together through a
@@ -128,10 +131,15 @@ class MetaStore {
   [[nodiscard]] bool stable_applied(TxnId txn) const {
     return stable_applied_.contains(txn);
   }
-  /// Transactions stable state remembers as applied (never pruned).
+  /// Transactions stable state remembers as applied: those not yet
+  /// forgotten at their checkpoint.
   [[nodiscard]] std::size_t stable_applied_count() const {
     return stable_applied_.size();
   }
+  /// The transaction's log records are gone (checkpoint), so nothing can
+  /// replay it again: drops it from the applied set.  A no-op for ids the
+  /// set does not hold.
+  void forget_applied(TxnId txn) { stable_applied_.erase(txn); }
 
   // --- Queries: current logical view (mem) ---
   [[nodiscard]] std::optional<Inode> mem_inode(ObjectId id) const;

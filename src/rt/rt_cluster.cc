@@ -84,7 +84,8 @@ RtCluster::StormResult RtCluster::run_storm(const StormPlan& plan,
 
 RtCluster::StormResult RtCluster::fold_results() {
   StormResult res;
-  std::int64_t unflushed = 0, stable_applied = 0, finished = 0;
+  std::int64_t unflushed = 0, stable_applied = 0, finished = 0,
+               live_records = 0;
   for (std::uint32_t i = 0; i < size(); ++i) {
     const AcpEngine& eng = cluster_.engine(NodeId(i));
     res.committed += eng.committed_count();
@@ -95,11 +96,14 @@ RtCluster::StormResult RtCluster::fold_results() {
     unflushed += static_cast<std::int64_t>(store.unflushed_txns());
     stable_applied += static_cast<std::int64_t>(store.stable_applied_count());
     finished += static_cast<std::int64_t>(eng.finished_count());
+    live_records += static_cast<std::int64_t>(
+        cluster_.node(NodeId(i)).wal().partition().records().size());
   }
-  // Sizes of the per-transaction tables that still grow with the run.
+  // Sizes of the per-transaction tables (docs/OBSERVABILITY.md).
   res.stats.set("mds.unflushed", unflushed);
   res.stats.set("mds.stable_applied", stable_applied);
   res.stats.set("acp.finished", finished);
+  res.stats.set("wal.live_records", live_records);
   res.stats.merge(storage_stats_);
   net_.export_stats(res.stats);
   const Histogram late = env_.dispatch_lateness();

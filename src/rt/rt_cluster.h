@@ -64,9 +64,9 @@ class RtCluster {
 
   /// Folds every node's engine results and sinks, the transport's counters,
   /// the executor's rt.timer.* gauges and the per-transaction table sizes
-  /// (mds.unflushed, mds.stable_applied, acp.finished) into one StormResult
-  /// (wall_seconds and ops_per_second stay 0).  Call only while the env is
-  /// quiescent (after env().wait_idle()).
+  /// (mds.unflushed, mds.stable_applied, acp.finished, wal.live_records)
+  /// into one StormResult (wall_seconds and ops_per_second stay 0).  Call
+  /// only while the env is quiescent (after env().wait_idle()).
   [[nodiscard]] StormResult fold_results();
 
   [[nodiscard]] std::uint32_t size() const { return cluster_.size(); }

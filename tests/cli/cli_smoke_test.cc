@@ -163,6 +163,23 @@ const Malformed kMalformed[] = {
     {"SweepZeroDirs", "sweep --param dirs --values 0", "--dirs"},
     {"SweepUnknownParam", "sweep --param foo --values 1,2", "usage"},
     {"SweepUnparsedValue", "sweep --param dirs --values 4,x", "'x'"},
+    // The verbs that build no ExperimentConfig check their own flags.  A
+    // regression runs one schedule, a smoke storm, a 250 ms server or a
+    // loadgen against no server: never the count a bad value asks for.
+    {"ChaosZeroDirs", "chaos --dirs 0 --schedules 1", "--dirs"},
+    {"ChaosZeroMaxFaults", "chaos --max-faults 0 --schedules 1",
+     "--max-faults"},
+    {"RtstormZeroConcurrency", "rtstorm --smoke --concurrency 0",
+     "--concurrency"},
+    {"RtstormNegativeLatency", "rtstorm --smoke --net-latency-us -5",
+     "--net-latency-us"},
+    {"ServeZeroEventThreads",
+     "serve --event-threads 0 --uds /tmp/opc-cli-malformed.sock",
+     "--event-threads"},
+    {"LoadgenZeroThreads",
+     "loadgen --threads 0 --uds /tmp/opc-cli-malformed.sock", "--threads"},
+    {"LoadgenZeroRate", "loadgen --rate 0 --uds /tmp/opc-cli-malformed.sock",
+     "--rate"},
 };
 
 class CliMalformed : public ::testing::TestWithParam<Malformed> {};

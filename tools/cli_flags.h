@@ -111,6 +111,36 @@ inline bool parse_duration(const std::string& s, Duration& out) {
   return true;
 }
 
+/// Reads integer flag `key` (default `dflt`) into `out` if it lies in
+/// [lo, hi]; otherwise prints "--key must be in [lo, hi]" and returns
+/// false, so the verb can exit 2 before anything runs.  The range is
+/// checked on the parsed 64-bit value, before the narrowing cast, so a
+/// negative value cannot wrap to a huge unsigned count.
+template <class T>
+bool num_in(const Args& a, const char* key, std::int64_t dflt,
+            std::int64_t lo, std::int64_t hi, T& out) {
+  const std::int64_t v = a.num(key, dflt);
+  if (v < lo || v > hi) {
+    std::fprintf(stderr, "--%s must be in [%lld, %lld]\n", key,
+                 static_cast<long long>(lo), static_cast<long long>(hi));
+    return false;
+  }
+  out = static_cast<T>(v);
+  return true;
+}
+
+/// The same for a real-valued flag: `out` if it lies in [lo, hi].
+inline bool real_in(const Args& a, const char* key, double dflt, double lo,
+                    double hi, double& out) {
+  const double v = a.real(key, dflt);
+  if (!(v >= lo && v <= hi)) {
+    std::fprintf(stderr, "--%s must be in [%g, %g]\n", key, lo, hi);
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 /// Participants per transaction, one spelling for every traffic verb
 /// (storm/mixed/rtstorm/chaos/loadgen; batch accepts only 2):
 /// `--participants N`, N in [2, 64].
@@ -118,13 +148,7 @@ inline bool parse_duration(const std::string& s, Duration& out) {
 /// over N-1 distinct worker nodes (and 1PC degrades to presumed-abort,
 /// src/acp/protocol.h).
 inline bool parse_participants(const Args& a, std::uint32_t& out) {
-  const std::int64_t v = a.num("participants", 2);
-  if (v < 2 || v > 64) {
-    std::fprintf(stderr, "--participants must be in [2, 64]\n");
-    return false;
-  }
-  out = static_cast<std::uint32_t>(v);
-  return true;
+  return num_in(a, "participants", 2, 2, 64, out);
 }
 
 /// Flags every traffic verb shares.  `--protocol` and `--proto` are

@@ -353,23 +353,27 @@ int cmd_chaos(const Args& a) {
 
   ExplorerConfig cfg;
   cfg.base.protocol = protos[0];
-  cfg.base.n_nodes = static_cast<std::uint32_t>(a.num("nodes", 3));
-  if (!cli::parse_participants(a, cfg.base.participants)) return 2;
+  std::int64_t seconds = 0;
+  if (!cli::num_in(a, "nodes", 3, 1, 1024, cfg.base.n_nodes) ||
+      !cli::parse_participants(a, cfg.base.participants) ||
+      !cli::num_in(a, "concurrency", 6, 1, 65536, cfg.base.concurrency) ||
+      !cli::num_in(a, "dirs", 4, 1, 65536, cfg.base.n_dirs) ||
+      !cli::num_in(a, "seconds", 8, 1, 86400, seconds) ||
+      !cli::num_in(a, "schedules", 100, 0, 1000000, cfg.n_schedules) ||
+      !cli::num_in(a, "max-faults", 4, 1, 1024, cfg.max_faults) ||
+      !cli::num_in(a, "max-systematic", 64, 0, 1000000, cfg.max_systematic) ||
+      !cli::num_in(a, "threads", 0, 0, 256, cfg.threads)) {
+    return 2;
+  }
   // Each participant occupies a distinct MDS; raise the cluster rather
   // than failing so `--participants 5` works without --nodes.
   if (cfg.base.n_nodes < cfg.base.participants) {
     cfg.base.n_nodes = cfg.base.participants;
   }
-  cfg.base.concurrency = static_cast<std::uint32_t>(a.num("concurrency", 6));
-  cfg.base.n_dirs = static_cast<std::uint32_t>(a.num("dirs", 4));
-  cfg.base.run_for = Duration::seconds(a.num("seconds", 8));
+  cfg.base.run_for = Duration::seconds(seconds);
   cfg.base.unsafe_skip_fencing = a.flag("bug");
-  cfg.n_schedules = static_cast<std::uint32_t>(a.num("schedules", 100));
   cfg.seed = static_cast<std::uint64_t>(a.num("seed", 42));
-  cfg.max_faults = static_cast<std::uint32_t>(a.num("max-faults", 4));
   cfg.systematic = a.flag("systematic");
-  cfg.max_systematic = static_cast<std::uint32_t>(a.num("max-systematic", 64));
-  cfg.threads = static_cast<unsigned>(a.num("threads", 0));
 
   std::printf("exploring %u random schedule(s)%s, proto %s, master seed "
               "%llu%s\n",
@@ -569,26 +573,38 @@ int cmd_trace(const Args& a) {
 // opc rtstorm — live multi-threaded storm on the real-time backend.
 // ---------------------------------------------------------------------------
 
+/// rtstorm and serve read --duration as a wall-clock limit, 0 for none.
+bool wall_limit_ok(const CommonFlags& cf) {
+  if (cf.duration >= Duration::zero()) return true;
+  std::fprintf(stderr, "--duration/--seconds must be >= 0\n");
+  return false;
+}
+
 int cmd_rtstorm(const Args& a) {
   CommonFlags cf;
   if (!parse_common(a, "1pc", 0, cf)) return 2;
   const bool smoke = a.flag("smoke");
 
   RtClusterConfig base;
-  base.n_nodes = static_cast<std::uint32_t>(a.num("nodes", 2));
-  if (base.n_nodes < cf.participants) base.n_nodes = cf.participants;
-  base.seed = cf.seed;
-  base.net.latency = Duration::micros(a.num("net-latency-us", 100));
+  std::int64_t latency_us = 0;
+  std::uint32_t ops = 0;  // per node
+  std::uint32_t concurrency = 0;
   // Real seconds, not simulated ones: default to a device fast enough that
   // a live run finishes promptly; --disk-bw restores the paper's 400 KB/s.
-  base.disk.bytes_per_second = a.real("disk-bw", 4.0 * 1024.0 * 1024.0);
-  base.wal.force_pad_to = static_cast<std::uint64_t>(a.num("block", 8192));
+  if (!cli::num_in(a, "nodes", 2, 1, 256, base.n_nodes) ||
+      !cli::num_in(a, "net-latency-us", 100, 0, 60000000, latency_us) ||
+      !cli::real_in(a, "disk-bw", 4.0 * 1024.0 * 1024.0, 1.0, 1e15,
+                    base.disk.bytes_per_second) ||
+      !cli::num_in(a, "block", 8192, 0, 1 << 30, base.wal.force_pad_to) ||
+      !cli::num_in(a, "ops", smoke ? 50 : 2000, 1, 10000000, ops) ||
+      !cli::num_in(a, "concurrency", smoke ? 8 : 32, 1, 65536, concurrency) ||
+      !wall_limit_ok(cf)) {
+    return 2;
+  }
+  if (base.n_nodes < cf.participants) base.n_nodes = cf.participants;
+  base.seed = cf.seed;
+  base.net.latency = Duration::micros(latency_us);
   base.wal.group_commit = a.flag("group-commit");
-
-  const auto ops = static_cast<std::uint32_t>(
-      a.num("ops", smoke ? 50 : 2000));  // per node
-  const auto concurrency =
-      static_cast<std::uint32_t>(a.num("concurrency", smoke ? 8 : 32));
   const Duration max_wall = cf.duration;
   if (!cf.report.empty() && cf.protocols.size() != 1) {
     std::fprintf(stderr, "--report needs a single --protocol\n");
@@ -661,15 +677,27 @@ int cmd_serve(const Args& a) {
   }
 
   RtClusterConfig cfg;
-  cfg.protocol = cf.protocols[0];
-  cfg.n_nodes = static_cast<std::uint32_t>(a.num("nodes", 3));
-  cfg.seed = cf.seed;
-  cfg.net.latency = Duration::micros(a.num("net-latency-us", 0));
+  rpc::RpcServerConfig scfg;
+  std::int64_t latency_us = 0;
+  std::int64_t timeout_ms = 0;
   // Serving default: a device that sustains tens of thousands of 8 KiB
   // commit forces per second (NVMe-class), so the socket path — not the
   // modeled disk — is what a loadgen measures.  --disk-bw dials it down.
-  cfg.disk.bytes_per_second = a.real("disk-bw", 2.0 * 1024 * 1024 * 1024);
-  cfg.wal.force_pad_to = static_cast<std::uint64_t>(a.num("block", 8192));
+  if (!cli::num_in(a, "nodes", 3, 1, 256, cfg.n_nodes) ||
+      !cli::num_in(a, "net-latency-us", 0, 0, 60000000, latency_us) ||
+      !cli::real_in(a, "disk-bw", 2.0 * 1024 * 1024 * 1024, 1.0, 1e15,
+                    cfg.disk.bytes_per_second) ||
+      !cli::num_in(a, "block", 8192, 0, 1 << 30, cfg.wal.force_pad_to) ||
+      !cli::num_in(a, "port", 0, 0, 65535, scfg.tcp_port) ||
+      !cli::num_in(a, "event-threads", 1, 1, 256, scfg.event_threads) ||
+      !cli::num_in(a, "max-inflight", 1024, 1, 1 << 24, scfg.max_inflight) ||
+      !cli::num_in(a, "timeout-ms", 0, 0, 86400000, timeout_ms) ||
+      !wall_limit_ok(cf)) {
+    return 2;
+  }
+  cfg.protocol = cf.protocols[0];
+  cfg.seed = cf.seed;
+  cfg.net.latency = Duration::micros(latency_us);
   cfg.wal.group_commit = a.flag("group-commit");
 
   RtCluster cluster(cfg);
@@ -679,16 +707,10 @@ int cmd_serve(const Args& a) {
     cluster.bootstrap_directory(ObjectId(i + 1), NodeId(i));
   }
 
-  rpc::RpcServerConfig scfg;
   scfg.uds_path = a.str("uds", "");
   scfg.tcp = a.flag("tcp") || a.has("port");
-  scfg.tcp_port = static_cast<std::uint16_t>(a.num("port", 0));
   if (scfg.uds_path.empty() && !scfg.tcp) scfg.uds_path = kDefaultSock;
-  scfg.event_threads = static_cast<std::uint32_t>(a.num("event-threads", 1));
-  scfg.max_inflight = static_cast<std::uint32_t>(a.num("max-inflight", 1024));
-  if (a.num("timeout-ms", 0) > 0) {
-    scfg.request_timeout = Duration::millis(a.num("timeout-ms", 0));
-  }
+  if (timeout_ms > 0) scfg.request_timeout = Duration::millis(timeout_ms);
 
   rpc::RpcServer server(cluster, scfg);
   if (!server.start()) return 2;
@@ -771,19 +793,31 @@ int cmd_loadgen(const Args& a) {
   }
 
   rpc::LoadgenConfig lc;
+  int report_nodes = 0;  // labels the report only
+  if (!cli::num_in(a, "port", 0, 0, 65535, lc.tcp_port) ||
+      !cli::num_in(a, "nodes", 0, 0, 1024, report_nodes) ||
+      !cli::num_in(a, "threads", 4, 1, 256, lc.threads) ||
+      !cli::real_in(a, "rate", 10000.0, 1e-3, 1e9, lc.rate) ||
+      !cli::num_in(a, "dirs", 3, 1, 65536, lc.n_dirs) ||
+      !cli::real_in(a, "zipf", 0.0, 0.0, 100.0, lc.zipf_s) ||
+      !cli::real_in(a, "creates", 0.8, 0.0, 1e9, lc.create_weight) ||
+      !cli::real_in(a, "mkdirs", 0.1, 0.0, 1e9, lc.mkdir_weight) ||
+      !cli::real_in(a, "renames", 0.1, 0.0, 1e9, lc.rename_weight)) {
+    return 2;
+  }
+  if (lc.create_weight + lc.mkdir_weight + lc.rename_weight <= 0.0) {
+    std::fprintf(stderr, "--creates, --mkdirs and --renames sum to 0\n");
+    return 2;
+  }
+  if (cf.duration <= Duration::zero()) {
+    std::fprintf(stderr, "--duration/--seconds must be > 0\n");
+    return 2;
+  }
   lc.uds_path = a.str("uds", "");
-  lc.tcp_port = static_cast<std::uint16_t>(a.num("port", 0));
   if (lc.uds_path.empty() && lc.tcp_port == 0) lc.uds_path = kDefaultSock;
-  lc.threads = static_cast<std::uint32_t>(a.num("threads", 4));
-  lc.rate = a.real("rate", 10000.0);
   lc.duration = cf.duration;
   lc.seed = cf.seed;
-  lc.n_dirs = static_cast<std::uint32_t>(a.num("dirs", 3));
-  lc.zipf_s = a.real("zipf", 0.0);
   lc.participants = cf.participants;
-  lc.create_weight = a.real("creates", 0.8);
-  lc.mkdir_weight = a.real("mkdirs", 0.1);
-  lc.rename_weight = a.real("renames", 0.1);
 
   const rpc::LoadgenResult res = rpc::run_loadgen(lc);
   if (res.transport_errors > 0) {
@@ -832,7 +866,7 @@ int cmd_loadgen(const Args& a) {
     in.meta.protocol = std::string(protocol_name(cf.protocols[0]));
     in.meta.workload = "loadgen";
     in.meta.seed = cf.seed;
-    in.meta.nodes = static_cast<int>(a.num("nodes", 0));
+    in.meta.nodes = report_nodes;
     in.meta.sim_duration_ns =
         static_cast<std::int64_t>(res.wall_seconds * 1e9);
     in.stats = &stats;
