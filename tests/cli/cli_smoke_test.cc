@@ -182,6 +182,11 @@ const Malformed kMalformed[] = {
      "--rate"},
 };
 
+// ctest names a value-parameterized test after the printed parameter.  The
+// default printer dumps the struct's bytes, here three string pointers that
+// move with every load of the binary, so print the expected message instead.
+void PrintTo(const Malformed& m, std::ostream* os) { *os << m.message; }
+
 class CliMalformed : public ::testing::TestWithParam<Malformed> {};
 
 TEST_P(CliMalformed, ExitsTwoWithMessage) {
